@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -144,7 +145,9 @@ def _parse_scalar_list(text: str, name: str) -> list[float]:
             start, stop, step = (float(x) for x in pieces)
             if step <= 0:
                 raise ConfigError(f"{name}: range step must be positive")
-            count = int(round((stop - start) / step))
+            # The tolerance keeps a stop that float division lands just
+            # short of, without running past it.
+            count = math.floor((stop - start) / step + 1e-9)
             values.extend(start + k * step for k in range(count + 1))
         else:
             try:
@@ -157,7 +160,11 @@ def _parse_scalar_list(text: str, name: str) -> list[float]:
 
 
 def _parse_int_list(text: str, name: str) -> list[int]:
-    return [int(round(v)) for v in _parse_scalar_list(text, name)]
+    values = _parse_scalar_list(text, name)
+    for value in values:
+        if not value.is_integer():
+            raise ConfigError(f"{name}: not an integer: {value!r}")
+    return [int(v) for v in values]
 
 
 def _parse_bool(text: str, name: str) -> bool:
@@ -407,12 +414,13 @@ def _render_cell(value) -> str:
     return str(value)
 
 
-def emit(records: Sequence[SweepRecord], path: str, emit_format: str) -> None:
-    """Write records to ``path`` as CSV (9-significant-digit floats) or JSON.
+def emit(records: Sequence[SweepRecord], path: Optional[str], emit_format: str) -> None:
+    """Write records to ``path`` (stdout when None) as CSV or JSON.
 
-    The CSV header is byte-stable across runs and modes; JSON is an array of
-    objects with the same keys at full float precision, so a JSON round-trip
-    reproduces the records exactly.
+    CSV floats carry 9 significant digits and the header is byte-stable
+    across runs and modes; JSON is an array of objects with the same keys at
+    full float precision, so a JSON round-trip reproduces the records
+    exactly.
     """
     if not records:
         raise ValueError("no records to emit")
@@ -423,18 +431,19 @@ def emit(records: Sequence[SweepRecord], path: str, emit_format: str) -> None:
                 ",".join(_render_cell(getattr(record, f.name)) for f in fields(SweepRecord))
             )
         payload = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
     elif emit_format == "json":
         rows = [
             {f.name: getattr(record, f.name) for f in fields(SweepRecord)}
             for record in records
         ]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
+        payload = json.dumps(rows, indent=2) + "\n"
     else:
         raise ValueError(f"format must be csv or json, got {emit_format!r}")
+    if path is None:
+        sys.stdout.write(payload)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -482,15 +491,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"bvlab: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        records = run_config(config)
-        if config.out_path:
-            emit(records, config.out_path, config.emit_format)
-        else:
-            print(CSV_HEADER)
-            for record in records:
-                print(",".join(
-                    _render_cell(getattr(record, f.name)) for f in fields(SweepRecord)
-                ))
+        emit(run_config(config), config.out_path or None, config.emit_format)
     except ConfigError as exc:
         print(f"bvlab: config error: {exc}", file=sys.stderr)
         return 2

@@ -15,28 +15,32 @@ reduce to Frobenius-norm statistics of M:
     variance = E ||M - E M||^2 / d
     risk     = E ||M - I||^2 / d.
 
-Monte Carlo here samples (W, X) jointly and accumulates those statistics;
-the inner expectations over (x, theta) are already integrated out, which
-cuts both cost and estimator noise.  The data-free limit matrix
+M depends on the data only through the second moment ``S = X X^T``, which
+follows the Wishart law ``W_d(n, I/d)``.  Each Monte Carlo trial therefore
+draws W and then S itself, from a Bartlett factor (Bartlett 1933; Odell &
+Feiveson 1966) of O(d * min(d, n)) normals rather than the d * n normals of
+X; n < d gives the singular Wishart law by the same construction.  The inner
+expectations over (x, theta) are already integrated out, which cuts both
+cost and estimator noise.  The data-free limit matrix
 ``Mtilde = W^T (W W^T + lambda0 I)^-1 W`` is also provided, together with a
 Monte Carlo estimate of its risk for comparison against the closed-form
 spectral average.
 
-Linear systems are solved through a Cholesky factorization of the
-regularized Gram matrix; nothing is explicitly inverted.  Trials own
-disjoint RNG streams derived from the master seed and are reduced in fixed
-trial-index order, so results are bit-reproducible for a fixed NumPy build
-regardless of how trials are scheduled.
+Linear systems are solved with NumPy's LAPACK after a Cholesky factorization
+confirms the regularized Gram matrix is positive definite; nothing is
+explicitly inverted, and every BLAS/LAPACK call runs in NumPy's one runtime.
+Trials own disjoint RNG streams derived from the master seed and are reduced
+in fixed trial-index order, so results are bit-reproducible for a fixed
+NumPy build regardless of how trials are scheduled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg as sla
 
 from .seeding import spawn_rng
 
@@ -104,7 +108,6 @@ class LinearNetSample:
     X: np.ndarray
     theta: np.ndarray
     y: np.ndarray
-    beta: Optional[np.ndarray] = None
 
 
 class BiasVarianceRisk(NamedTuple):
@@ -127,8 +130,26 @@ def sample_instance(dims: ModelDims, seed: int) -> LinearNetSample:
     return LinearNetSample(W=W, X=X, theta=theta, y=X.T @ theta)
 
 
+def _wishart_second_moment(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """Draw ``S = X X^T`` for X with n i.i.d. N(0, I/d) columns, without X.
+
+    Bartlett decomposition: ``S = A A^T / d`` with A lower-trapezoidal,
+    d x min(d, n), N(0, 1) strictly below the diagonal and
+    ``A_ii = sqrt(chi2(n - i))`` on it.  For n < d, A has n columns and S
+    has rank n, as ``X X^T`` does.
+    """
+    k = min(d, n)
+    A = np.tril(rng.standard_normal((d, k)))
+    np.fill_diagonal(A, np.sqrt(rng.chisquare(n - np.arange(k))))
+    return (A @ A.T) / d
+
+
 def _solve_regularized_gram(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (gram + lam I) Z = rhs via Cholesky; gram must be symmetric PSD."""
+    """Solve (gram + lam I) Z = rhs; gram must be symmetric PSD.
+
+    A Cholesky factorization is the positive-definiteness check; the solve
+    itself is LAPACK's ``gesv``.
+    """
     if lam < 0.0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     a = 0.5 * (gram + gram.T)
@@ -142,12 +163,12 @@ def _solve_regularized_gram(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np
     else:
         a[np.diag_indices_from(a)] += lam
     try:
-        factor = sla.cho_factor(a, lower=True, check_finite=False)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"Gram matrix not positive definite at lam={lam}"
         ) from exc
-    return sla.cho_solve(factor, rhs, check_finite=False)
+    return np.linalg.solve(a, rhs)
 
 
 def ridge_fit(W: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -191,8 +212,10 @@ def m_tilde(W: np.ndarray, lambda0: float) -> np.ndarray:
 def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVarianceRisk:
     """Monte Carlo bias/variance/risk over fresh (W, X) draws.
 
-    Accumulates the running mean of M, of ``tr(M)`` and of ``||M||_F^2`` in
-    trial-index order (trial ``t`` uses the RNG stream derived from
+    Each trial draws W, then the second moment ``S = X X^T`` straight from
+    its Wishart law (see :func:`_wishart_second_moment`).  Accumulates the
+    running mean of M, of ``tr(M)`` and of ``||M||_F^2`` in trial-index
+    order (trial ``t`` uses the RNG stream derived from
     ``(master_seed, t)``), then forms
 
         bias_sq  = ||mean M - I||^2 / d
@@ -216,8 +239,7 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     for t in range(trials):
         rng = spawn_rng(master_seed, t)
         W = rng.standard_normal((dims.p, d)) * scale
-        X = rng.standard_normal((d, dims.n)) * scale
-        M = _m_from_gram(W, X @ X.T, lam)
+        M = _m_from_gram(W, _wishart_second_moment(rng, d, dims.n), lam)
         m_sum += M
         sq_sum += float(np.vdot(M, M))
         trace_sum += float(np.trace(M))
@@ -238,7 +260,9 @@ def mc_risk_mtilde(d: int, p: int, lambda0: float, trials: int, master_seed: int
     Uses the spectral identity ``||Mtilde - I||_F^2 = sum_i 1/(1 + mu_i /
     lambda0)^2`` with ``mu_i`` the eigenvalues of ``W^T W`` (equal to the
     direct Frobenius norm of ``m_tilde(W, lambda0) - I``); converges to
-    ``mp_risk(lambda0, d/p)`` as d grows.
+    ``mp_risk(lambda0, d/p)`` as d grows.  When p < d the nonzero ``mu_i``
+    come from the smaller p x p Gram ``W W^T`` and the other d - p
+    eigenvalues, all zero, add 1 each.
     """
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
@@ -251,6 +275,7 @@ def mc_risk_mtilde(d: int, p: int, lambda0: float, trials: int, master_seed: int
     for t in range(trials):
         rng = spawn_rng(master_seed, t)
         W = rng.standard_normal((p, d)) * scale
-        mu = np.clip(np.linalg.eigvalsh(W.T @ W), 0.0, None)
-        total += float(np.sum(1.0 / (1.0 + mu / lambda0) ** 2)) / d
+        gram = W @ W.T if p < d else W.T @ W
+        mu = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+        total += (float(np.sum(1.0 / (1.0 + mu / lambda0) ** 2)) + max(d - p, 0)) / d
     return total / trials

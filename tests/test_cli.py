@@ -51,6 +51,22 @@ class TestConfigParsing:
         cfg = build_config("theory", {"lambda0": "1", "gamma": "0.5:1.5:0.5"})
         assert_allclose(cfg.gamma_grid, [0.5, 1.0, 1.5])
 
+    def test_range_stops_at_stop(self):
+        cfg = build_config("theory", {"lambda0": "1", "gamma": "0.05:1:0.35"})
+        assert_allclose(cfg.gamma_grid, [0.05, 0.4, 0.75])
+        for text, count in (("0.0002:4:0.0002", 20_000), ("0.002:3:0.002", 1_500)):
+            grid = build_config("theory", {"lambda0": "1", "gamma": text}).gamma_grid
+            assert len(grid) == count
+            assert_allclose(grid[-1], float(text.split(":")[1]))
+
+    @pytest.mark.parametrize("mode, field", [("mlp-sweep", "widths"), ("simulate", "p")])
+    def test_fractional_integer_list_named(self, mode, field):
+        pairs = dict(MLP_PAIRS) if mode == "mlp-sweep" else {
+            "lambda0": "1", "d": "4", "n": "8", "p": "2", "trials": "2"}
+        pairs[field] = "2,2.5"
+        with pytest.raises(ConfigError, match=field):
+            build_config(mode, pairs)
+
     def test_bad_number_named(self):
         with pytest.raises(ConfigError, match="trials"):
             build_config(
@@ -160,6 +176,18 @@ class TestMainEntry:
         last_cell = out.read_text().splitlines()[1].split(",")[13]
         assert last_cell != ""
         assert float(last_cell) >= 0.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_matches_file_output(self, fmt, tmp_path, capsys):
+        args = ["theory", "--set", "lambda0=1", "--set", "gamma=1,2", "--format", fmt]
+        out = tmp_path / f"theory.{fmt}"
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert printed == out.read_text()
+        if fmt == "json":
+            assert [row["gamma"] for row in json.loads(printed)] == [1.0, 2.0]
 
     def test_config_error_exit_code(self, capsys):
         assert main(["theory", "--set", "lambda0=oops"]) == 2

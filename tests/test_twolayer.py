@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -181,7 +184,57 @@ class TestMTilde:
             m_tilde(np.eye(2), 0.0)
 
 
+class TestWishartSecondMoment:
+    @pytest.mark.parametrize("d, n", [(5, 12), (5, 5), (5, 3)])
+    def test_matches_exact_wishart_moments(self, d, n):
+        """d * S ~ W_d(n, I): E = n I and E tr(S^2) = n d (n + d + 1), rank min(d, n)."""
+        rng = np.random.default_rng(2718)
+        draws = np.array(
+            [d * twolayer._wishart_second_moment(rng, d, n) for _ in range(4000)]
+        )
+        assert np.linalg.matrix_rank(draws[0]) == min(d, n)
+        se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
+        assert np.all(np.abs(draws.mean(axis=0) - n * np.eye(d)) <= 5.0 * se)
+        tr_sq = np.einsum("tij,tji->t", draws, draws)
+        se_tr = tr_sq.std(ddof=1) / math.sqrt(len(tr_sq))
+        assert abs(tr_sq.mean() - n * d * (n + d + 1)) <= 5.0 * se_tr
+
+
+def direct_x_reference(dims, trials):
+    """Bias, variance and risk with standard errors from explicit X draws.
+
+    Each standard error is that of the statistic's first-order (influence
+    function) linearization around the sample means.
+    """
+    d = dims.d
+    Ms = np.array([
+        m_matrix(s.W, s.X, dims.lam)
+        for s in (sample_instance(dims, seed=t) for t in range(trials))
+    ])
+    m_mean = Ms.mean(axis=0)
+    sq = np.einsum("tij,tij->t", Ms, Ms) / d
+    inner_mean = np.einsum("tij,ij->t", Ms, m_mean) / d
+    inner_bias = np.einsum("tij,ij->t", Ms, m_mean - np.eye(d)) / d
+    risk = np.einsum("tij,tij->t", Ms - np.eye(d), Ms - np.eye(d)) / d
+    bias_sq = float(np.sum((m_mean - np.eye(d)) ** 2)) / d
+    stats = dict(bias_sq=bias_sq, variance=sq.mean() - inner_mean.mean(), risk=risk.mean())
+    influence = dict(bias_sq=2.0 * inner_bias, variance=sq - 2.0 * inner_mean, risk=risk)
+    se = {k: v.std(ddof=1) / math.sqrt(trials) for k, v in influence.items()}
+    return stats, se
+
+
 class TestMcBiasVariance:
+    @pytest.mark.parametrize("n", [10, 4])
+    def test_agrees_with_direct_x_reference(self, n):
+        """The Wishart route estimates what explicit (W, X) draws estimate."""
+        dims = ModelDims(d=6, n=n, p=4, lambda0=0.5)
+        reference, se = direct_x_reference(dims, 3000)
+        stats = mc_bias_variance(dims, 3000, 99)
+        for name in ("bias_sq", "variance", "risk"):
+            # Two independent estimates of one quantity: the gap has sqrt(2) se.
+            gap = abs(getattr(stats, name) - reference[name])
+            assert gap <= 4.0 * math.sqrt(2.0) * se[name], name
+
     def test_identical_trials_have_zero_variance(self, monkeypatch):
         monkeypatch.setattr(
             twolayer, "spawn_rng", lambda master, *path: np.random.default_rng(1234)
@@ -219,6 +272,16 @@ class TestMcBiasVariance:
         dims = ModelDims(d=6, n=2, p=6, lambda0=0.0)
         with pytest.raises(SingularSystemError):
             mc_bias_variance(dims, 2, 0)
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(twolayer.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bvlab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 class TestMcRiskMtilde:
