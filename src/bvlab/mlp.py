@@ -122,9 +122,8 @@ class TrainConfig:
     """SGD schedule: momentum, weight decay, stage-wise lr decay.
 
     The learning rate at epoch ``e`` is
-    ``initial_lr / lr_decay_factor ** (e // lr_decay_every)``.  ``loss`` is
-    fixed to softmax-MSE ("mse-onehot"); the field exists so emitted records
-    are self-describing.
+    ``initial_lr / lr_decay_factor ** (e // lr_decay_every)``.  The loss is
+    always softmax-MSE against one-hot labels (see :func:`loss_and_gradients`).
     """
 
     epochs: int
@@ -135,7 +134,6 @@ class TrainConfig:
     lr_decay_factor: float = 10.0
     batch_size: int = 128
     seed: int = 0
-    loss: str = "mse-onehot"
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -148,8 +146,6 @@ class TrainConfig:
             )
         if self.lr_decay_every < 1 or self.batch_size < 1:
             raise ValueError("lr_decay_every and batch_size must be >= 1")
-        if self.loss != "mse-onehot":
-            raise ValueError(f"unsupported loss {self.loss!r}")
 
 
 def init_mlp(d_in: int, width: int, c: int, seed: int) -> MlpParams:

@@ -19,9 +19,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "TheoryPoint",
     "PeakSearchError",
+    "closed_form",
     "theory_point",
     "bias_derivative",
     "small_lambda_expansion",
@@ -56,32 +59,60 @@ class TheoryPoint:
     phi3: float
 
 
-def _phi1(lambda0: float, g: float) -> float:
-    return lambda0 * (g + 1.0) + (g - 1.0) ** 2
+def closed_form(lambda0: float | np.ndarray, gamma: float | np.ndarray) -> tuple:
+    """``(bias_sq, variance, risk, phi1, phi2, phi3)`` at ``(lambda0, gamma)``.
 
+    Takes Python floats or broadcastable float arrays alike and evaluates
+    the same operations on both, so a grid evaluated as arrays agrees with
+    :func:`theory_point` bit for bit.  Arguments are not validated: the
+    domain is ``lambda0 > 0`` and ``gamma > 0`` (``phi2`` and ``phi3`` also
+    stay finite at ``lambda0 = 0`` for ``gamma != 1``).
 
-def _phi2(lambda0: float, g: float) -> float:
-    # Fused form sqrt((g + lambda0 - 1)^2 + 4*lambda0): both terms are
-    # nonnegative, so no cancellation for any g, lambda0 >= 0.
-    u = g + lambda0 - 1.0
-    return math.sqrt(u * u + 4.0 * lambda0)
+    With ``u = (gamma - 1) + lambda0``, ``v = gamma + lambda0`` and
+    ``q = u*v + 2*lambda0``, every subtraction below is of terms with
+    opposite signs, so each value is accurate to relative precision:
 
-def _phi3(lambda0: float, g: float) -> float:
-    # phi2 - (g + lambda0 - 1), rationalized when the subtraction would
-    # cancel (large g).
-    u = g + lambda0 - 1.0
-    s = _phi2(lambda0, g)
-    if u > 0.0:
-        return 4.0 * lambda0 / (s + u)
-    return s - u
+    * ``phi2 = sqrt(u^2 + 4*lambda0)``;
+    * ``phi3 = phi2 - u``, taken as ``4*lambda0 / (phi2 + u)`` when
+      ``u > 0``;
+    * ``variance = phi3 * D / (4*phi2)`` with ``D = phi2*v - q``, taken as
+      ``4*lambda0*gamma / (phi2*v + q)`` when ``q > 0``.
+
+    Each choice is made by multiplying both candidates by a comparison
+    (``True`` and ``False`` act as 1 and 0), which works unchanged on floats
+    and arrays; both candidates are finite on the domain, so the product
+    with 0 is exactly 0.
+    """
+    gm1 = gamma - 1.0
+    u = gm1 + lambda0
+    v = gamma + lambda0
+    q = u * v + 2.0 * lambda0
+    c = 4.0 * lambda0
+    phi1 = lambda0 * (gamma + 1.0) + gm1 * gm1
+    # np.sqrt is correctly rounded on both paths (``** 0.5`` is not on
+    # floats).  For a float it returns a NumPy scalar, on which arithmetic
+    # costs several times that on a Python float and gives the same bits.
+    phi2 = np.sqrt(u * u + c)
+    if isinstance(u, float):
+        phi2 = float(phi2)
+    w = phi2 + abs(u)
+    phi3 = c * (u > 0.0) / w + w * (u <= 0.0)
+    z = phi2 * v + abs(q)
+    d = c * gamma * (q > 0.0) / z + z * (q <= 0.0)
+    h = 0.25 * phi3
+    bias_sq = h * phi3
+    variance = h * d / phi2
+    return bias_sq, variance, bias_sq + variance, phi1, phi2, phi3
 
 
 def theory_point(lambda0: float, gamma: float) -> TheoryPoint:
     """Evaluate the limiting decomposition at ``(lambda0, gamma)``.
 
-    The squared bias is ``phi3(lambda0, gamma)^2 / 4`` and the risk is
-    ``phi1 / (2 * phi2) + (1 - gamma) / 2``, a single expression valid on
-    both sides of ``gamma = 1``; the variance is their difference.
+    The squared bias is ``phi3^2 / 4`` and the variance is
+    ``phi3 * D / (4 * phi2)`` with ``D = 4*lambda0*gamma / (phi2*v + q)``,
+    ``v = gamma + lambda0``, ``q = (gamma + lambda0 - 1)*v + 2*lambda0``
+    (see :func:`closed_form`); the risk is their sum, equal to
+    ``phi1 / (2 * phi2) + (1 - gamma) / 2`` on both sides of ``gamma = 1``.
 
     Args:
         lambda0: ridge strength before the ``n/d`` rescaling; must be > 0.
@@ -95,22 +126,7 @@ def theory_point(lambda0: float, gamma: float) -> TheoryPoint:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    p1 = _phi1(lambda0, gamma)
-    p2 = _phi2(lambda0, gamma)
-    p3 = _phi3(lambda0, gamma)
-    bias_sq = 0.25 * p3 * p3
-    risk = p1 / (2.0 * p2) + 0.5 * (1.0 - gamma)
-    variance = risk - bias_sq
-    return TheoryPoint(
-        lambda0=lambda0,
-        gamma=gamma,
-        bias_sq=bias_sq,
-        variance=variance,
-        risk=bias_sq + variance,
-        phi1=p1,
-        phi2=p2,
-        phi3=p3,
-    )
+    return TheoryPoint(lambda0, gamma, *closed_form(lambda0, gamma))
 
 
 def bias_derivative(lambda0: float, gamma: float) -> float:
@@ -124,8 +140,8 @@ def bias_derivative(lambda0: float, gamma: float) -> float:
         raise ValueError(f"lambda0 must be nonnegative, got {lambda0}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    p3 = _phi3(lambda0, gamma)
-    return -(p3 * p3) / (2.0 * _phi2(lambda0, gamma))
+    *_, p2, p3 = closed_form(lambda0, gamma)
+    return -(p3 * p3) / (2.0 * p2)
 
 
 def small_lambda_expansion(lambda0: float, gamma: float) -> tuple[float, float]:
@@ -147,6 +163,7 @@ def small_lambda_expansion(lambda0: float, gamma: float) -> tuple[float, float]:
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0     # 0.618...
 _SCAN_POINTS = 1000
+_SCAN_GRID = tuple(2.0 * (i + 1) / _SCAN_POINTS for i in range(_SCAN_POINTS))
 _DIFF_NOISE = 1e-13
 
 
@@ -163,17 +180,17 @@ def variance_peak(lambda0: float, tol: float = 1e-6) -> float:
     """
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    grid = [2.0 * (i + 1) / _SCAN_POINTS for i in range(_SCAN_POINTS)]
-    values = [theory_point(lambda0, g).variance for g in grid]
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    signs = [1.0 if v > 0 else -1.0 for v in diffs if abs(v) > _DIFF_NOISE]
-    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    if changes != 1 or not signs or signs[0] != 1.0 or signs[-1] != -1.0:
+    grid = _SCAN_GRID
+    values = np.array([theory_point(lambda0, g).variance for g in grid])
+    diffs = np.diff(values)
+    signs = np.sign(diffs[np.abs(diffs) > _DIFF_NOISE])
+    changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
+    if changes != 1 or signs[0] != 1.0 or signs[-1] != -1.0:
         raise PeakSearchError(
             f"variance scan at lambda0={lambda0} is not unimodal "
             f"({changes} sign changes)"
         )
-    top = max(range(len(values)), key=values.__getitem__)
+    top = int(np.argmax(values))
     lo = grid[top - 1] if top > 0 else grid[0] / 2.0
     hi = grid[top + 1] if top + 1 < len(grid) else grid[-1]
     while hi - lo > tol:

@@ -15,6 +15,7 @@ from bvlab.cli import (
     parse_config_file,
     run_config,
 )
+from bvlab.theory import theory_point
 
 MLP_PAIRS = {
     "widths": "2,4,8",
@@ -188,6 +189,38 @@ class TestMainEntry:
         assert printed == out.read_text()
         if fmt == "json":
             assert [row["gamma"] for row in json.loads(printed)] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("lambda0,gamma", [
+        (
+            ",".join(repr(float(v)) for v in np.logspace(-12, 8, 21)),
+            ",".join(repr(float(v)) for v in np.logspace(-8, 8, 33)),
+        ),
+        ("0.01", "3.8:4:0.002"),
+    ])
+    def test_theory_rows_equal_theory_point(self, lambda0, gamma, capsys):
+        """The grid is evaluated as arrays; every row must carry the same
+        bits as the scalar theory_point at its (lambda0, gamma)."""
+        args = ["theory", "--set", f"lambda0={lambda0}", "--set", f"gamma={gamma}",
+                "--format", "json"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("\n") == 1  # compact: one line, no indentation
+        rows = json.loads(printed)
+        cfg = build_config("theory", {"lambda0": lambda0, "gamma": gamma})
+        assert [(row["lambda0"], row["gamma"]) for row in rows] == [
+            (lam0, g) for lam0 in cfg.lambda0_grid for g in cfg.gamma_grid]
+        for row in rows:
+            assert list(row) == CSV_HEADER.split(",")
+            point = theory_point(row["lambda0"], row["gamma"])
+            assert (row["bias_sq"], row["variance"], row["risk"]) == (
+                point.bias_sq, point.variance, point.risk)
+
+    def test_theory_timings_share_the_grid_time(self, tmp_path):
+        out = tmp_path / "timed.json"
+        assert main(["theory", "--set", "lambda0=0.1,1", "--set", "gamma=0.5,1,2",
+                     "--format", "json", "--out", str(out), "--timings"]) == 0
+        times = {row["wall_time_s"] for row in json.loads(out.read_text())}
+        assert len(times) == 1 and times.pop() >= 0.0
 
     def test_config_error_exit_code(self, capsys):
         assert main(["theory", "--set", "lambda0=oops"]) == 2

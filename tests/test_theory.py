@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -19,6 +22,31 @@ from bvlab.theory import (
 
 GRID_LAMBDA0 = (0.01, 0.1, 1.0)
 GRID_GAMMA = np.arange(0.02, 4.0 + 1e-9, 0.02)
+
+# The whole domain on a log grid, plus the large-gamma tail at lambda0 = 0.01
+# where risk - bias_sq loses every digit of the variance.
+EDGE_POINTS = [
+    (float(lam0), float(gamma))
+    for lam0 in np.logspace(-12, 8, 21)
+    for gamma in np.logspace(-8, 8, 33)
+] + [(0.01, float(gamma)) for gamma in np.linspace(3.8, 4.0, 101)]
+
+
+def oracle(lambda0: float, gamma: float) -> tuple[float, float, float]:
+    """(bias_sq, variance, risk) to 50 correct digits from the direct form.
+
+    ``risk = phi1/(2 phi2) + (1 - gamma)/2`` and ``variance = risk - bias_sq``
+    cancel by up to ``|log10 lambda0| + |log10 gamma|`` digits each, so the
+    working precision carries twice that many guard digits.
+    """
+    guard = 2 * math.ceil(abs(math.log10(lambda0)) + abs(math.log10(gamma)))
+    with mp.workdps(70 + guard):
+        lam, g = mpf(lambda0), mpf(gamma)
+        u = g + lam - 1
+        phi2 = mp.sqrt(u * u + 4 * lam)
+        bias = (phi2 - u) ** 2 / 4
+        risk = (lam * (g + 1) + (g - 1) ** 2) / (2 * phi2) + (1 - g) / 2
+        return float(bias), float(risk - bias), float(risk)
 
 
 def spectral_average_quadrature(lambda0: float, eta: float) -> float:
@@ -100,6 +128,31 @@ class TestTheoryPoint:
     def test_domain_rejected(self, lam0, gamma):
         with pytest.raises(ValueError):
             theory_point(lam0, gamma)
+
+
+class TestRelativeAccuracy:
+    def test_matches_high_precision_oracle(self):
+        worst = 0.0
+        for lam0, gamma in EDGE_POINTS:
+            point = theory_point(lam0, gamma)
+            assert point.variance >= 0.0, (lam0, gamma)
+            for got, want in zip(
+                (point.bias_sq, point.variance, point.risk), oracle(lam0, gamma)
+            ):
+                worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=-12.0, max_value=8.0),
+        st.floats(min_value=-8.0, max_value=8.0),
+    )
+    def test_invariants_over_log_domain(self, log_lambda0, log_gamma):
+        lam0, gamma = 10.0**log_lambda0, 10.0**log_gamma
+        point = theory_point(lam0, gamma)
+        assert point.variance >= 0.0
+        assert point.risk == point.bias_sq + point.variance
+        assert theory_point(lam0, gamma * (1.0 + 1e-3)).bias_sq <= point.bias_sq
 
 
 class TestBiasDerivative:
