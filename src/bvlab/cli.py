@@ -25,6 +25,7 @@ compact line per run.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -116,7 +117,8 @@ class SweepConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.mode == "theory":
             self._require("lambda0_grid", "gamma_grid")
-            if any(v <= 0 for v in self.lambda0_grid + self.gamma_grid):
+            if not all(min(grid, default=1.0) > 0
+                       for grid in (self.lambda0_grid, self.gamma_grid)):
                 raise ConfigError("lambda0 and gamma values must be positive")
         elif self.mode == "simulate":
             self._require("lambda0_grid", "d", "n", "p_grid", "trials")
@@ -450,7 +452,9 @@ def emit(records: Sequence[SweepRecord], path: Optional[str], emit_format: str) 
             fh.write(payload)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process; argparse copies the ``--set`` list on each parse."""
     parser = argparse.ArgumentParser(
         prog="bvlab",
         description="bias-variance decomposition laboratory",

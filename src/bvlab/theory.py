@@ -134,12 +134,16 @@ def bias_derivative(lambda0: float, gamma: float) -> float:
 
     Equals ``-phi3(lambda0, gamma)^2 / (2 * phi2(lambda0, gamma))``, which is
     also the closed form of the derivative of ``theory_point(...).bias_sq``.
-    ``lambda0 = 0`` is allowed here (the expression stays finite).
+    ``lambda0 = 0`` is allowed here (the expression stays finite); at
+    ``(0, 1)``, where it is 0/0, the limit 0 is returned.
     """
     if lambda0 < 0.0:
         raise ValueError(f"lambda0 must be nonnegative, got {lambda0}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    if lambda0 == 0.0 and gamma == 1.0:
+        # phi2 = phi3 = 0 only here, and phi3^2 / phi2 <= 4 phi2 -> 0.
+        return 0.0
     *_, p2, p3 = closed_form(lambda0, gamma)
     return -(p3 * p3) / (2.0 * p2)
 

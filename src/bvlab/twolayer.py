@@ -17,9 +17,13 @@ reduce to Frobenius-norm statistics of M:
 
 M depends on the data only through the second moment ``S = X X^T``, which
 follows the Wishart law ``W_d(n, I/d)``.  Each Monte Carlo trial therefore
-draws W and then S itself, from a Bartlett factor (Bartlett 1933; Odell &
-Feiveson 1966) of O(d * min(d, n)) normals rather than the d * n normals of
-X; n < d gives the singular Wishart law by the same construction.  The inner
+draws W and then a factor L of S with ``S = L L^T``: the lower-trapezoidal
+Bartlett factor (Bartlett 1933; Odell & Feiveson 1966), d x k with
+``k = min(d, n)``, built from its k(k-1)/2 + (d-k)k nonzero normals and k
+chi-square draws rather than the d * n normals of X; n < d gives the
+singular Wishart law by the same construction.  With ``B = W L``, M is
+``W^T (B B^T + lam I)^-1 B L^T``, or by the push-through identity
+``(W^T B) (B^T B + lam I)^-1 L^T``, whichever system is smaller.  The inner
 expectations over (x, theta) are already integrated out, which cuts both
 cost and estimator noise.  The data-free limit matrix
 ``Mtilde = W^T (W W^T + lambda0 I)^-1 W`` is also provided, together with a
@@ -29,6 +33,8 @@ spectral average.
 Linear systems are solved with NumPy's LAPACK after a Cholesky factorization
 confirms the regularized Gram matrix is positive definite; nothing is
 explicitly inverted, and every BLAS/LAPACK call runs in NumPy's one runtime.
+A Monte Carlo trial's system is min(p, d, n) x min(p, d, n); ``m_matrix``
+keeps the p x p system on ``X X^T`` as the direct reference.
 Trials own disjoint RNG streams derived from the master seed and are reduced
 in fixed trial-index order, so results are bit-reproducible for a fixed
 NumPy build regardless of how trials are scheduled.
@@ -36,6 +42,7 @@ NumPy build regardless of how trials are scheduled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -130,18 +137,28 @@ def sample_instance(dims: ModelDims, seed: int) -> LinearNetSample:
     return LinearNetSample(W=W, X=X, theta=theta, y=X.T @ theta)
 
 
-def _wishart_second_moment(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    """Draw ``S = X X^T`` for X with n i.i.d. N(0, I/d) columns, without X.
+@functools.lru_cache(maxsize=None)
+def _bartlett_slots(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the strictly-lower and the diagonal entries of a d x k array."""
+    rows, cols = np.tril_indices(d, -1, k)
+    return rows * k + cols, np.arange(k) * (k + 1)
 
-    Bartlett decomposition: ``S = A A^T / d`` with A lower-trapezoidal,
-    d x min(d, n), N(0, 1) strictly below the diagonal and
-    ``A_ii = sqrt(chi2(n - i))`` on it.  For n < d, A has n columns and S
-    has rank n, as ``X X^T`` does.
+
+def _wishart_factor(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """Draw L (d x min(d, n)) with ``L L^T`` distributed as ``X X^T``, without X.
+
+    X has n i.i.d. N(0, I/d) columns.  Bartlett decomposition: ``L = A / sqrt(d)``
+    with A lower-trapezoidal, N(0, 1) strictly below the diagonal and
+    ``A_ii = sqrt(chi2(n - i))`` on it; only the nonzero entries are drawn.
+    For n < d, L has n columns and ``L L^T`` has rank n, as ``X X^T`` does.
     """
     k = min(d, n)
-    A = np.tril(rng.standard_normal((d, k)))
-    np.fill_diagonal(A, np.sqrt(rng.chisquare(n - np.arange(k))))
-    return (A @ A.T) / d
+    lower, diagonal = _bartlett_slots(d, k)
+    scale = 1.0 / math.sqrt(d)
+    L = np.zeros(d * k)
+    L[lower] = rng.standard_normal(lower.size) * scale
+    L[diagonal] = np.sqrt(rng.chisquare(n - np.arange(k))) * scale
+    return L.reshape(d, k)
 
 
 def _solve_regularized_gram(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
@@ -188,6 +205,24 @@ def _m_from_gram(W: np.ndarray, second_moment: np.ndarray, lam: float) -> np.nda
     return W.T @ _solve_regularized_gram(ws @ W.T, ws, lam)
 
 
+def _m_from_factor(W: np.ndarray, L: np.ndarray, lam: float) -> np.ndarray:
+    """``_m_from_gram(W, L L^T, lam)`` through the smaller of two ridge systems.
+
+    With ``B = W L`` (p x k), ``M = W^T (B B^T + lam I_p)^-1 B L^T``.  For
+    p > k the push-through identity ``(B B^T + lam I)^-1 B = B (B^T B +
+    lam I)^-1`` turns this into ``M = (W^T B) (B^T B + lam I_k)^-1 L^T``.
+    """
+    p, k = W.shape[0], L.shape[1]
+    B = W @ L
+    if p <= k:
+        return W.T @ (_solve_regularized_gram(B @ B.T, B, lam) @ L.T)
+    if lam == 0.0:
+        raise SingularSystemError(
+            f"Gram matrix is singular at lam=0 (rank <= {k} < p = {p}); use lam > 0"
+        )
+    return (W.T @ B) @ _solve_regularized_gram(B.T @ B, L.T, lam)
+
+
 def m_matrix(W: np.ndarray, X: np.ndarray, lam: float) -> np.ndarray:
     """The d x d map M with ``x^T M theta`` equal to the fitted prediction.
 
@@ -212,8 +247,9 @@ def m_tilde(W: np.ndarray, lambda0: float) -> np.ndarray:
 def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVarianceRisk:
     """Monte Carlo bias/variance/risk over fresh (W, X) draws.
 
-    Each trial draws W, then the second moment ``S = X X^T`` straight from
-    its Wishart law (see :func:`_wishart_second_moment`).  Accumulates the
+    Each trial draws W, then a factor L of the second moment ``S = X X^T``
+    straight from its Wishart law (see :func:`_wishart_factor`), and solves
+    the smaller ridge system (see :func:`_m_from_factor`).  Accumulates the
     running mean of M, of ``tr(M)`` and of ``||M||_F^2`` in trial-index
     order (trial ``t`` uses the RNG stream derived from
     ``(master_seed, t)``), then forms
@@ -239,7 +275,7 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     for t in range(trials):
         rng = spawn_rng(master_seed, t)
         W = rng.standard_normal((dims.p, d)) * scale
-        M = _m_from_gram(W, _wishart_second_moment(rng, d, dims.n), lam)
+        M = _m_from_factor(W, _wishart_factor(rng, d, dims.n), lam)
         m_sum += M
         sq_sum += float(np.vdot(M, M))
         trace_sum += float(np.trace(M))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bvlab.cli as cli
 import bvlab.twolayer as twolayer
 from bvlab.cli import (
     CSV_HEADER,
@@ -74,6 +75,13 @@ class TestConfigParsing:
                 "simulate",
                 {"lambda0": "1", "d": "4", "n": "8", "p": "2", "trials": "soon"},
             )
+
+    @pytest.mark.parametrize("lambda0, gamma", [
+        ("1,0", "1"), ("1", "2,-1"), ("-0.5", "1"), ("1", "nan,-1"),
+    ])
+    def test_nonpositive_theory_value_rejected(self, lambda0, gamma):
+        with pytest.raises(ConfigError, match="must be positive"):
+            build_config("theory", {"lambda0": lambda0, "gamma": gamma})
 
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
@@ -221,6 +229,19 @@ class TestMainEntry:
                      "--format", "json", "--out", str(out), "--timings"]) == 0
         times = {row["wall_time_s"] for row in json.loads(out.read_text())}
         assert len(times) == 1 and times.pop() >= 0.0
+
+    def test_parser_reused_without_sharing_overrides(self, capsys):
+        """The parser is built once; each parse starts from an empty --set list."""
+        assert cli._build_parser() is cli._build_parser()
+        assert main(["theory", "--set", "lambda0=1", "--set", "gamma=1,2",
+                     "--format", "json"]) == 0
+        assert [row["gamma"] for row in json.loads(capsys.readouterr().out)] == [1.0, 2.0]
+        assert main(["theory", "--set", "lambda0=2", "--format", "json"]) == 2
+        assert "gamma_grid" in capsys.readouterr().err
+        assert main(["theory", "--set", "lambda0=3", "--set", "gamma=4",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(row["lambda0"], row["gamma"]) for row in rows] == [(3.0, 4.0)]
 
     def test_config_error_exit_code(self, capsys):
         assert main(["theory", "--set", "lambda0=oops"]) == 2

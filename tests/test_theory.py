@@ -166,6 +166,13 @@ class TestBiasDerivative:
             tiny = theory_point(1e-14, gamma)
             assert_allclose(tiny.bias_sq, (1.0 - gamma) ** 2, atol=1e-6)
 
+    def test_unregularized_critical_width_is_the_limit(self):
+        """At (0, 1) the closed form is 0/0; the value is its limit 0, next to
+        the -sqrt(lambda0) of the neighbouring lambda0 = 1e-300."""
+        assert bias_derivative(0.0, 1.0) == 0.0
+        assert_allclose(bias_derivative(1e-300, 1.0), -1e-150, rtol=1e-12)
+        assert bias_derivative(0.0, 1.0 - 1e-12) < 0.0
+
     @pytest.mark.parametrize("lam0,gamma", [(1.0, 1.0), (0.1, 0.7), (2.0, 1.3), (0.01, 3.0)])
     def test_matches_central_finite_difference(self, lam0, gamma):
         step = 1e-5

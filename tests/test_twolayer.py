@@ -189,15 +189,48 @@ class TestWishartSecondMoment:
     def test_matches_exact_wishart_moments(self, d, n):
         """d * S ~ W_d(n, I): E = n I and E tr(S^2) = n d (n + d + 1), rank min(d, n)."""
         rng = np.random.default_rng(2718)
-        draws = np.array(
-            [d * twolayer._wishart_second_moment(rng, d, n) for _ in range(4000)]
-        )
+        factors = [twolayer._wishart_factor(rng, d, n) for _ in range(4000)]
+        for L in factors[:50]:
+            assert L.shape == (d, min(d, n))
+            assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) > 0.0)
+        draws = np.array([d * (L @ L.T) for L in factors])
         assert np.linalg.matrix_rank(draws[0]) == min(d, n)
         se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - n * np.eye(d)) <= 5.0 * se)
         tr_sq = np.einsum("tij,tji->t", draws, draws)
         se_tr = tr_sq.std(ddof=1) / math.sqrt(len(tr_sq))
         assert abs(tr_sq.mean() - n * d * (n + d + 1)) <= 5.0 * se_tr
+
+
+def factor_case(d, n, p, seed=31):
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((p, d)) / math.sqrt(d)
+    return W, twolayer._wishart_factor(rng, d, n)
+
+
+class TestMFromFactor:
+    @pytest.mark.parametrize(
+        "d, n, p", [(8, 40, 4), (8, 40, 8), (8, 40, 13), (8, 5, 3), (8, 5, 7)]
+    )
+    @pytest.mark.parametrize("lam", [0.3, 30.0])
+    def test_equals_gram_route(self, d, n, p, lam):
+        """Both the p x p and the k x k (push-through) systems give the Gram route's M."""
+        W, L = factor_case(d, n, p)
+        via_gram = twolayer._m_from_gram(W, L @ L.T, lam)
+        via_factor = twolayer._m_from_factor(W, L, lam)
+        assert np.abs(via_factor - via_gram).max() <= 1e-12 * np.abs(via_gram).max()
+
+    @pytest.mark.parametrize("d, n, p", [(8, 40, 13), (8, 5, 7)])
+    def test_unregularized_rank_deficient_rejected(self, d, n, p):
+        W, L = factor_case(d, n, p)
+        with pytest.raises(SingularSystemError, match="rank"):
+            twolayer._m_from_factor(W, L, 0.0)
+
+    def test_unregularized_full_rank_matches_gram_route(self):
+        W, L = factor_case(8, 400, 4)
+        via_gram = twolayer._m_from_gram(W, L @ L.T, 0.0)
+        via_factor = twolayer._m_from_factor(W, L, 0.0)
+        assert np.abs(via_factor - via_gram).max() <= 1e-12 * np.abs(via_gram).max()
 
 
 def direct_x_reference(dims, trials):
