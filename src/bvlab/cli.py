@@ -138,6 +138,16 @@ class SweepConfig:
             self._require("input_path")
 
 
+def _parse_finite(token: str, name: str) -> float:
+    try:
+        value = float(token)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: not a number: {token!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}: not a finite number: {token!r}")
+    return value
+
+
 def _parse_scalar_list(text: str, name: str) -> list[float]:
     values: list[float] = []
     for token in text.split(","):
@@ -148,18 +158,17 @@ def _parse_scalar_list(text: str, name: str) -> list[float]:
             pieces = token.split(":")
             if len(pieces) != 3:
                 raise ConfigError(f"{name}: range syntax is start:stop:step, got {token!r}")
-            start, stop, step = (float(x) for x in pieces)
+            start, stop, step = (_parse_finite(x, name) for x in pieces)
             if step <= 0:
                 raise ConfigError(f"{name}: range step must be positive")
             # The tolerance keeps a stop that float division lands just
             # short of, without running past it.
-            count = math.floor((stop - start) / step + 1e-9)
-            values.extend(start + k * step for k in range(count + 1))
+            span = (stop - start) / step + 1e-9
+            if not math.isfinite(span):
+                raise ConfigError(f"{name}: range {token!r} overflows")
+            values.extend(start + k * step for k in range(math.floor(span) + 1))
         else:
-            try:
-                values.append(float(token))
-            except ValueError as exc:
-                raise ConfigError(f"{name}: not a number: {token!r}") from exc
+            values.append(_parse_finite(token, name))
     if not values:
         raise ConfigError(f"{name}: empty list")
     return values

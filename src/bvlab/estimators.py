@@ -143,22 +143,6 @@ class PredictionMatrix:
             self, "outputs", _as_ensemble_array(self.outputs, "outputs")
         )
 
-    @property
-    def test_count(self) -> int:
-        return self.outputs.shape[0]
-
-    @property
-    def repeats(self) -> int:
-        return self.outputs.shape[1]
-
-    @property
-    def parts(self) -> int:
-        return self.outputs.shape[2]
-
-    @property
-    def output_dim(self) -> int:
-        return self.outputs.shape[3]
-
 
 @dataclass(frozen=True)
 class ProbabilityEnsemble:
@@ -187,22 +171,6 @@ class ProbabilityEnsemble:
         clamped = np.clip(arr, PROBABILITY_FLOOR, 1.0)
         clamped /= clamped.sum(axis=3, keepdims=True)
         return cls(clamped)
-
-    @property
-    def test_count(self) -> int:
-        return self.probabilities.shape[0]
-
-    @property
-    def repeats(self) -> int:
-        return self.probabilities.shape[1]
-
-    @property
-    def parts(self) -> int:
-        return self.probabilities.shape[2]
-
-    @property
-    def output_dim(self) -> int:
-        return self.probabilities.shape[3]
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,16 @@ expectations over (x, theta) are already integrated out, which cuts both
 cost and estimator noise.  The data-free limit matrix
 ``Mtilde = W^T (W W^T + lambda0 I)^-1 W`` is also provided, together with a
 Monte Carlo estimate of its risk for comparison against the closed-form
-spectral average.
+spectral average.  That estimate never forms W: the nonzero spectrum of
+``W W^T`` has the law of ``B B^T`` for an m x m bidiagonal B with chi
+entries, ``m = min(p, d)`` (Dumitriu & Edelman 2002, "Matrix models for beta
+ensembles"), and the ridge trace each trial needs follows from the twisted
+LDL^T factorization of the tridiagonal ``B B^T`` in O(m) scalar steps.
 
 Linear systems are solved with NumPy's LAPACK after a Cholesky factorization
 confirms the regularized Gram matrix is positive definite; nothing is
-explicitly inverted, and every BLAS/LAPACK call runs in NumPy's one runtime.
+explicitly inverted, and every BLAS/LAPACK call runs in NumPy's one runtime
+(``mc_risk_mtilde`` makes none).
 A Monte Carlo trial's system is min(p, d, n) x min(p, d, n); ``m_matrix``
 keeps the p x p system on ``X X^T`` as the direct reference.
 Trials own disjoint RNG streams derived from the master seed and are reduced
@@ -72,6 +77,11 @@ class SingularSystemError(np.linalg.LinAlgError):
     """The unregularized Gram system is singular or too ill-conditioned."""
 
 
+def _require_positive_int(name: str, value: object) -> None:
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelDims:
     """Problem dimensions (input d, samples n, width p) plus ridge strength.
@@ -88,9 +98,7 @@ class ModelDims:
 
     def __post_init__(self) -> None:
         for name in ("d", "n", "p"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            _require_positive_int(name, getattr(self, name))
         if not math.isfinite(self.lambda0) or self.lambda0 < 0.0:
             raise ValueError(f"lambda0 must be finite and >= 0, got {self.lambda0}")
 
@@ -290,28 +298,101 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     return BiasVarianceRisk(bias_sq=bias_sq, variance=variance, risk=risk)
 
 
+@functools.lru_cache(maxsize=None)
+def _laguerre_degrees(m: int, n: int) -> np.ndarray:
+    """Chi-square degrees of freedom: n - i on the diagonal, m - 1 - i below it."""
+    degrees = np.concatenate([n - np.arange(m), m - 1 - np.arange(m - 1)]).astype(np.float64)
+    degrees.setflags(write=False)  # shared by every caller through the cache
+    return degrees
+
+
+def _laguerre_bidiagonal(
+    rng: np.random.Generator, p: int, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the diagonal and subdiagonal of an m x m lower-bidiagonal ``B / sqrt(d)``.
+
+    With ``m = min(p, d)`` and ``n = max(p, d)``, ``a_i = sqrt(chi2(n - i) / d)``
+    (i < m) and ``b_i = sqrt(chi2(m - 1 - i) / d)`` (i < m - 1, entry (i + 1, i)).
+    ``B B^T / d`` has the law of the nonzero spectrum of ``W W^T`` for a p x d
+    W with N(0, 1/d) entries (Dumitriu & Edelman 2002, arXiv:math-ph/0206043,
+    beta = 1): 2m - 1 chi-square draws instead of p * d normals.
+    """
+    m = min(p, d)
+    entries = np.sqrt(rng.chisquare(_laguerre_degrees(m, max(p, d))) / d)
+    return entries[:m], entries[m:]
+
+
+def _ridge_trace_sq(a: np.ndarray, b: np.ndarray, lambda0: float) -> float:
+    """``tr((I + T / lambda0)^-2)`` for ``T = B B^T``, B lower bidiagonal (a, b).
+
+    T is tridiagonal with diagonal ``c_i + e_{i-1}`` and off-diagonal
+    ``a_i b_i`` (``c = a^2``, ``e = b^2``).  With ``A(s) = s I + T``, the sum
+    is ``s^2 tr(A^-2) = sum_i s^2 gamma_i' / gamma_i^2`` at ``s = lambda0``,
+    where ``gamma_i = 1 / (A^-1)_ii`` and ``tr(A^-2) = -d/ds tr(A^-1)``.  The
+    twisted factorization gives ``gamma_i = s + F_i + G_i`` from the forward
+    LDL^T pivots ``f_i + c_i`` and the backward ones ``g_i + e_{i-1}``:
+
+        f_i = s + F_i,  F_i = e_{i-1} f_{i-1} / (f_{i-1} + c_{i-1}),  F_0 = 0
+        g_i = s + G_i,  G_i = c_i g_{i+1} / (g_{i+1} + e_i),  G_{m-1} = c_{m-1}
+
+    and their s-derivatives ``F_i' = e_{i-1} c_{i-1} f_{i-1}' / (f_{i-1} +
+    c_{i-1})^2`` and ``G_i' = c_i e_i g_{i+1}' / (g_{i+1} + e_i)^2``.  Every
+    term is a positive sum, product or ratio, so nothing cancels.  T is used
+    unscaled and ``s / gamma_i`` lies in (0, 1], so no lambda0 > 0 overflows:
+    tiny lambda0 drives each term to 0 and huge lambda0 drives it to 1, the
+    limits of ``1 / (1 + mu_i / lambda0)^2``.  O(m) scalar steps.
+    """
+    c = (a * a).tolist()
+    e = (b * b).tolist()
+    s = lambda0
+    forward = [(0.0, 0.0)]
+    f, df = s, 1.0
+    for ci, ei in zip(c, e):
+        r = f + ci
+        ratio = ei / r
+        F = ratio * f
+        dF = ratio * ci * df / r
+        forward.append((F, dF))
+        f, df = s + F, 1.0 + dF
+    # Row i adds its term, then steps G from i to i - 1 with (c, e)_{i-1}.
+    G, dG = c[-1], 0.0
+    total = 0.0
+    for (F, dF), ci, ei in zip(reversed(forward), reversed([0.0] + c[:-1]), reversed([0.0] + e)):
+        q = s / (s + F + G)
+        total += (1.0 + dF + dG) * q * q
+        g = s + G
+        r = g + ei
+        ratio = ci / r
+        dG = ratio * ei * (1.0 + dG) / r
+        G = ratio * g
+    return total
+
+
 def mc_risk_mtilde(d: int, p: int, lambda0: float, trials: int, master_seed: int) -> float:
     """Monte Carlo estimate of ``E ||Mtilde - I||_F^2 / d`` over W draws.
 
     Uses the spectral identity ``||Mtilde - I||_F^2 = sum_i 1/(1 + mu_i /
     lambda0)^2`` with ``mu_i`` the eigenvalues of ``W^T W`` (equal to the
     direct Frobenius norm of ``m_tilde(W, lambda0) - I``); converges to
-    ``mp_risk(lambda0, d/p)`` as d grows.  When p < d the nonzero ``mu_i``
-    come from the smaller p x p Gram ``W W^T`` and the other d - p
-    eigenvalues, all zero, add 1 each.
+    ``mp_risk(lambda0, d/p)`` as d grows.  Trial ``t`` draws, from the stream
+    of ``(master_seed, t)``, the m x m bidiagonal B whose ``B B^T`` carries
+    the law of the ``m = min(p, d)`` nonzero ``mu_i`` (Dumitriu & Edelman
+    2002; see :func:`_laguerre_bidiagonal`), sums over them in O(m) by the
+    twisted-factorization recurrence of :func:`_ridge_trace_sq`, and adds 1
+    for each of the other d - m eigenvalues, all zero.  No W is drawn and no
+    BLAS or LAPACK routine runs.  Trials are reduced in trial-index order.
+
+    Raises:
+        ValueError: if d, p or trials is not a positive integer, or lambda0
+            is not finite and positive.
     """
-    if lambda0 <= 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if d < 1 or p < 1:
-        raise ValueError(f"d and p must be positive, got d={d}, p={p}")
-    scale = 1.0 / math.sqrt(d)
+    for name, value in (("d", d), ("p", p), ("trials", trials)):
+        _require_positive_int(name, value)
+    if not (math.isfinite(lambda0) and lambda0 > 0.0):
+        raise ValueError(f"lambda0 must be finite and positive, got {lambda0}")
+    zeros = d - min(p, d)
     total = 0.0
     for t in range(trials):
-        rng = spawn_rng(master_seed, t)
-        W = rng.standard_normal((p, d)) * scale
-        gram = W @ W.T if p < d else W.T @ W
-        mu = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-        total += (float(np.sum(1.0 / (1.0 + mu / lambda0) ** 2)) + max(d - p, 0)) / d
+        a, b = _laguerre_bidiagonal(spawn_rng(master_seed, t), p, d)
+        total += (_ridge_trace_sq(a, b, lambda0) + zeros) / d
     return total / trials

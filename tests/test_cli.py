@@ -80,8 +80,39 @@ class TestConfigParsing:
         ("1,0", "1"), ("1", "2,-1"), ("-0.5", "1"), ("1", "nan,-1"),
     ])
     def test_nonpositive_theory_value_rejected(self, lambda0, gamma):
-        with pytest.raises(ConfigError, match="must be positive"):
+        # A NaN is refused while parsing, before the positivity check.
+        message = "gamma: not a finite number" if "nan" in gamma else "must be positive"
+        with pytest.raises(ConfigError, match=message):
             build_config("theory", {"lambda0": lambda0, "gamma": gamma})
+
+    @pytest.mark.parametrize("mode, field, text", [
+        ("theory", "lambda0", "1,nan"),
+        ("theory", "gamma", "1,inf"),
+        ("theory", "gamma", "-inf"),
+        ("theory", "gamma", "0.5:inf:0.5"),
+        ("theory", "gamma", "0:1:nan"),
+        ("theory", "lambda0", "nan:1:0.5"),
+        ("simulate", "lambda0", "inf"),
+        ("simulate", "p", "2,nan"),
+        ("simulate", "p", "2:inf:2"),
+        ("mlp-sweep", "widths", "2,inf"),
+        ("mlp-sweep", "widths", "2:nan:2"),
+    ])
+    def test_non_finite_list_value_exits_2(self, mode, field, text, capsys):
+        pairs = {
+            "theory": {"lambda0": "1", "gamma": "1"},
+            "simulate": {"lambda0": "1", "d": "4", "n": "8", "p": "2", "trials": "2"},
+            "mlp-sweep": MLP_PAIRS,
+        }[mode]
+        overrides = {**pairs, field: text}
+        argv = [mode] + [arg for key, value in overrides.items()
+                         for arg in ("--set", f"{key}={value}")]
+        assert main(argv) == 2
+        assert f"{field}: not a finite number" in capsys.readouterr().err
+
+    def test_overflowing_range_span_exits_2(self, capsys):
+        assert main(["theory", "--set", "lambda0=1", "--set", "gamma=-1e308:1e308:1"]) == 2
+        assert "gamma: range '-1e308:1e308:1' overflows" in capsys.readouterr().err
 
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bvlab.estimators import (
@@ -271,3 +273,60 @@ class TestKlDecomposition:
         ensemble = ProbabilityEnsemble(np.array([[[[0.6, 0.4], [0.5, 0.5]]]]))
         with pytest.raises(ValueError, match="one-hot"):
             estimate_kl_decomposition(ensemble, labels)
+
+
+class TestDecompositionProperties:
+    """Identities and model-order invariance over random ensembles.
+
+    Hypothesis picks the ensemble shape and a seed; the outputs, labels and
+    permutations are drawn from that seed.
+    """
+
+    @staticmethod
+    def _decompositions(outputs, labels, probs, onehot):
+        return (
+            estimate_mse_decomposition(PredictionMatrix(outputs), labels),
+            estimate_kl_decomposition(ProbabilityEnsemble(probs), onehot),
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(2, 4), st.integers(2, 4)),
+    )
+    def test_identity_and_model_order_invariance(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        test_count, repeats, parts, c = shape
+        outputs = rng.normal(size=shape)
+        labels = rng.normal(size=(test_count, c))
+        logits = rng.normal(scale=3.0, size=shape)
+        probs = np.exp(logits - logits.max(axis=3, keepdims=True))
+        probs /= probs.sum(axis=3, keepdims=True)
+        onehot = np.eye(c)[rng.integers(c, size=test_count)]
+
+        # Shuffle the repeats, then the parts inside each repeat; a model's
+        # outputs move together across test points.
+        order = rng.permutation(repeats)
+        part_orders = [rng.permutation(parts) for _ in range(repeats)]
+
+        def shuffle(array):
+            moved = array[:, order]
+            return np.stack([moved[:, i][:, part_orders[i]] for i in range(repeats)], axis=1)
+
+        base = self._decompositions(outputs, labels, probs, onehot)
+        moved = self._decompositions(shuffle(outputs), labels, shuffle(probs), onehot)
+        for result, other in zip(base, moved):
+            terms = np.array([result.risk, result.bias_sq, result.variance])
+            # Relative to the largest term: the squared-loss bias is a
+            # difference, so its own size can be far below the others'.
+            scale = np.max(np.abs(terms))
+            assert_allclose(result.risk, result.bias_sq + result.variance,
+                            rtol=0, atol=1e-12 * scale)
+            point_scale = np.max(np.abs(result.per_point), axis=1)
+            risk_pt, bias_pt, var_pt = result.per_point.T
+            assert np.all(np.abs(risk_pt - bias_pt - var_pt) <= 1e-12 * point_scale)
+            assert_allclose([other.risk, other.bias_sq, other.variance], terms,
+                            rtol=0, atol=1e-12 * scale)
+            assert np.all(np.abs(other.per_point - result.per_point)
+                          <= 1e-12 * point_scale[:, None])
+

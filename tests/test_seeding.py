@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvlab.seeding import derive_seed, spawn_rng
 
@@ -22,6 +24,17 @@ class TestDeriveSeed:
 
     def test_master_seed_matters(self):
         assert derive_seed(1, 5) != derive_seed(2, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(), st.lists(st.integers(), max_size=6))
+    def test_deterministic_for_any_path(self, master_seed, path):
+        """Equal inputs give equal 64-bit seeds; inputs count modulo 2**64."""
+        value = derive_seed(master_seed, *path)
+        assert 0 <= value < 2**64
+        assert derive_seed(master_seed, *path) == value
+        assert derive_seed(master_seed % 2**64, *(i % 2**64 for i in path)) == value
+        first = spawn_rng(master_seed, *path).integers(2**63, size=4)
+        assert np.array_equal(spawn_rng(master_seed, *path).integers(2**63, size=4), first)
 
 
 class TestSpawnRng:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -319,11 +320,13 @@ def test_cli_import_loads_no_scipy():
 
 class TestMcRiskMtilde:
     def test_spectral_route_equals_direct_matrix_route(self):
-        """The eigenvalue shortcut equals ||m_tilde - I||_F^2 / d per trial."""
+        """A trial equals ||m_tilde(W') - I||_F^2 / d, W' holding the trial's B."""
         for d, p, lam0 in [(12, 6, 0.5), (12, 12, 1.0), (12, 20, 2.0)]:
             estimate = mc_risk_mtilde(d, p, lam0, trials=1, master_seed=33)
-            rng = spawn_rng(33, 0)
-            W = rng.standard_normal((p, d)) / math.sqrt(d)
+            a, b = twolayer._laguerre_bidiagonal(spawn_rng(33, 0), p, d)
+            m = a.size
+            W = np.zeros((p, d))
+            W[:m, :m] = np.diag(a) + np.diag(b, -1)
             direct = float(np.sum((m_tilde(W, lam0) - np.eye(d)) ** 2)) / d
             assert_allclose(estimate, direct, rtol=1e-10)
 
@@ -342,6 +345,63 @@ class TestMcRiskMtilde:
             mc_risk_mtilde(8, 8, 0.0, 2, 0)
         with pytest.raises(ValueError):
             mc_risk_mtilde(8, 8, 1.0, 0, 0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("d", 8.0), ("p", 2.5), ("trials", 3.0), ("d", 0), ("p", -1),
+        ("lambda0", math.nan), ("lambda0", math.inf), ("lambda0", -1.0),
+    ])
+    def test_invalid_argument_named(self, name, value):
+        args = dict(d=8, p=4, lambda0=1.0, trials=2, master_seed=0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            mc_risk_mtilde(**args)
+
+    @pytest.mark.parametrize("d, p", [(12, 7), (12, 12), (12, 20), (5, 1), (1, 6)])
+    def test_extreme_ridge_gives_finite_limits(self, d, p):
+        """lambda0 -> 0 leaves the d - m zero eigenvalues; lambda0 -> inf gives 1."""
+        m = min(p, d)
+        a, b = twolayer._laguerre_bidiagonal(spawn_rng(4, d, p), p, d)
+        assert twolayer._ridge_trace_sq(a, b, 1e-300) == 0.0
+        assert twolayer._ridge_trace_sq(a, b, 1e300) == m
+        assert_allclose(mc_risk_mtilde(d, p, 1e-300, 3, 4), (d - m) / d, rtol=1e-15, atol=0)
+        assert_allclose(mc_risk_mtilde(d, p, 1e300, 3, 4), 1.0, rtol=1e-15, atol=0)
+
+
+class TestLaguerreBidiagonal:
+    @pytest.mark.parametrize("d, p", [(6, 3), (6, 6), (6, 11)])
+    def test_matches_exact_gram_moments(self, d, p):
+        """E tr T = p and E tr T^2 = p d (p + d + 1) / d^2 for T = B B^T.
+
+        These are the moments of W W^T for a p x d W with N(0, 1/d) entries;
+        wrong chi-square degrees of freedom on either diagonal move them.
+        """
+        m, draws = min(p, d), 4000
+        tr1, tr2 = np.empty(draws), np.empty(draws)
+        for t in range(draws):
+            a, b = twolayer._laguerre_bidiagonal(spawn_rng(17, d, p, t), p, d)
+            assert a.shape == (m,) and b.shape == (m - 1,)
+            assert np.all(a > 0) and np.all(b > 0)
+            B = np.diag(a) + np.diag(b, -1)
+            T = B @ B.T
+            tr1[t], tr2[t] = np.trace(T), np.sum(T * T)
+        for values, expected in ((tr1, p), (tr2, p * d * (p + d + 1) / d**2)):
+            stderr = values.std(ddof=1) / math.sqrt(draws)
+            assert abs(values.mean() - expected) < 5.0 * stderr
+
+
+class TestRidgeTraceRecurrence:
+    @pytest.mark.parametrize("d, p", [(12, 7), (12, 12), (12, 20), (5, 1), (1, 6)])
+    def test_matches_high_precision_spectrum(self, d, p):
+        """tr((I + B B^T / lambda0)^-2) to 1e-10 relative over lambda0 in [1e-12, 1e12]."""
+        a, b = twolayer._laguerre_bidiagonal(spawn_rng(71, d, p), p, d)
+        B = np.diag(a) + np.diag(b, -1)
+        with mpmath.workdps(50):
+            T = mpmath.matrix(B.tolist())
+            mu = mpmath.eigsy(T * T.T, eigvals_only=True)
+            for lam0 in np.logspace(-12, 12, 25):
+                exact = mpmath.fsum(1 / (1 + x / mpmath.mpf(lam0)) ** 2 for x in mu)
+                value = twolayer._ridge_trace_sq(a, b, float(lam0))
+                assert abs(value - exact) <= 1e-10 * exact
 
 
 class TestDataFreeLimit:
