@@ -8,18 +8,21 @@ decomposition estimator.  Also provides dataset plumbing: a synthetic
 Gaussian-cluster task, uniform label-noise injection, and an IDX-format
 reader for image/label file pairs.
 
-Ensemble members are independent (own data part, own RNG stream) and may be
-trained concurrently; within one model, training is sequential by epoch and
-batch.  The sweep assembles results in fixed (width, repeat, part) order, so
-its output is bitwise reproducible from (config, seeds) at any worker count.
+Ensemble members are independent (own data part, own initialization, own
+shuffle stream), but a width's members are stepped together: one stacked
+forward/backward/update per batch advances all of them, on one BLAS thread.
+Stacked matrix products run the same GEMM on each member's slice and every
+elementwise expression keeps its floating-point order, so each member's
+weights are bitwise those it would reach if trained alone by
+:func:`train_sgd`, and a sweep's output is bitwise reproducible from
+(config, seeds).
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .estimators import (
     SplitPlan,
     estimate_mse_decomposition,
 )
+from ._blas import single_blas_thread
 from .seeding import derive_seed, spawn_rng
 
 __all__ = [
@@ -163,7 +167,13 @@ def init_mlp(d_in: int, width: int, c: int, seed: int) -> MlpParams:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # The row maximum, one class column at a time: NumPy's max-reduce over a
+    # last axis of a few classes costs several times more.  A maximum is
+    # exact, so the result does not depend on the order.
+    top = logits[..., 0].copy()
+    for k in range(1, logits.shape[-1]):
+        np.maximum(top, logits[..., k], out=top)
+    shifted = logits - top[..., None]
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -174,23 +184,56 @@ def predict_probabilities(params: MlpParams, inputs: np.ndarray) -> np.ndarray:
     return softmax(hidden @ params.w2.T + params.b2)
 
 
-def _loss_and_gradients_raw(
-    arrays: list[np.ndarray], inputs: np.ndarray, onehot: np.ndarray
-) -> tuple[float, list[np.ndarray]]:
-    w1, b1, w2, b2 = arrays
-    batch = inputs.shape[0]
-    pre_hidden = inputs @ w1.T + b1
-    hidden = np.maximum(pre_hidden, 0.0)
-    probs = softmax(hidden @ w2.T + b2)
+def _layer_views(flat: np.ndarray, d_in: int, width: int, c: int) -> list[np.ndarray]:
+    """Views (M, *shape) of w1, b1, w2, b2 into an (M, P) buffer."""
+    views = []
+    start = 0
+    for shape in ((width, d_in), (width,), (c, width), (c,)):
+        stop = start + int(np.prod(shape))
+        views.append(flat[:, start:stop].reshape(len(flat), *shape))
+        start = stop
+    return views
+
+
+def _stacked_loss_and_gradients(
+    layers: list[np.ndarray],
+    inputs: np.ndarray,
+    onehot: np.ndarray,
+    grads: list[np.ndarray],
+    work: Optional[tuple[np.ndarray, ...]] = None,
+) -> float:
+    """Forward and backward pass of M members on their own (M, batch, .) batches.
+
+    Writes each member's gradients into the arrays ``grads`` and returns the
+    squared residual summed over all members and examples.  ``work``, if
+    given, holds (M, >= batch, width) buffers for the pre-activation,
+    activation, hidden gradient and ReLU mask (bool); otherwise these are
+    allocated.  Every product is one GEMM per member and every elementwise
+    expression keeps the order of the one-member formulas, so a member's
+    gradients do not depend on M.
+    """
+    w1, b1, w2, b2 = layers
+    g_w1, g_b1, g_w2, g_b2 = grads
+    batch = inputs.shape[1]
+    pre_hidden, hidden, grad_hidden, active = (
+        (None,) * 4 if work is None else (buf[:, :batch] for buf in work)
+    )
+    pre_hidden = np.matmul(inputs, w1.transpose(0, 2, 1), out=pre_hidden)
+    pre_hidden += b1[:, None, :]
+    hidden = np.maximum(pre_hidden, 0.0, out=hidden)
+    probs = softmax(hidden @ w2.transpose(0, 2, 1) + b2[:, None, :])
     residual = probs - onehot
-    loss = float(np.vdot(residual, residual)) / batch
-    grad_z = 2.0 * probs * (residual - np.sum(residual * probs, axis=1, keepdims=True))
-    grad_w2 = grad_z.T @ hidden / batch
-    grad_b2 = grad_z.sum(axis=0) / batch
-    grad_hidden = (grad_z @ w2) * (pre_hidden > 0.0)
-    grad_w1 = grad_hidden.T @ inputs / batch
-    grad_b1 = grad_hidden.sum(axis=0) / batch
-    return loss, [grad_w1, grad_b1, grad_w2, grad_b2]
+    squared = float(np.vdot(residual, residual))
+    grad_z = 2.0 * probs * (residual - np.sum(residual * probs, axis=-1, keepdims=True))
+    np.matmul(grad_z.transpose(0, 2, 1), hidden, out=g_w2)
+    g_w2 /= batch
+    np.divide(grad_z.sum(axis=1), batch, out=g_b2)
+    grad_hidden = np.matmul(grad_z, w2, out=grad_hidden)
+    grad_hidden *= np.greater(pre_hidden, 0.0, out=active)
+    np.matmul(grad_hidden.transpose(0, 2, 1), inputs, out=g_w1)
+    g_w1 /= batch
+    np.divide(grad_hidden.sum(axis=1), batch, out=g_b1)
+    return squared
 
 
 def loss_and_gradients(
@@ -202,8 +245,78 @@ def loss_and_gradients(
     The softmax Jacobian is applied analytically:
     dL/dz = 2 p * (r - <r, p>) with p the softmax output and r = p - y.
     """
-    loss, grads = _loss_and_gradients_raw(params.arrays(), inputs, onehot)
-    return loss, MlpParams(*grads)
+    grads = [np.empty((1, *a.shape)) for a in params.arrays()]
+    squared = _stacked_loss_and_gradients(
+        [a[None] for a in params.arrays()], inputs[None], onehot[None], grads
+    )
+    return squared / len(inputs), MlpParams(*[g[0] for g in grads])
+
+
+def _train_stacked(
+    members: Sequence[MlpParams],
+    inputs: np.ndarray,
+    onehot: np.ndarray,
+    cfg: TrainConfig,
+    seeds: Sequence[int],
+) -> list[MlpParams]:
+    """Train M members together; member k trains ``members[k]``.
+
+    Member k's data are ``inputs[k]`` and ``onehot[k]`` (shapes (M, n, d)
+    and (M, n, c)) and its shuffle stream is that of ``seeds[k]``;
+    ``cfg.seed`` is not read.  Each step runs one stacked forward/backward
+    pass on every member's own batch and updates all parameters, which live
+    in one (M, P) buffer, in place.  The update keeps the order of
+    ``step = grad + wd * cur; vel = mom * vel + step; cur = cur - lr * vel``.
+
+    Raises:
+        TrainingDivergedError: at the first step where any member's batch
+            loss is non-finite, reporting the epoch and learning rate.
+    """
+    n = inputs.shape[1]
+    if n == 0:
+        raise ValueError("training data must be nonempty")
+    shape = (members[0].w1.shape[1], members[0].width, members[0].b2.shape[0])
+    current = np.stack([np.concatenate([a.ravel() for a in p.arrays()]) for p in members])
+    grads = np.empty_like(current)
+    velocity = np.zeros_like(current)
+    scratch = np.empty_like(current)
+    layers = _layer_views(current, *shape)
+    grad_layers = _layer_views(grads, *shape)
+    # Allocating the hidden-layer arrays at every step makes the allocator
+    # hand their pages back and fault them in again each time.
+    hidden_shape = (len(members), min(cfg.batch_size, n), shape[1])
+    work = (*(np.empty(hidden_shape) for _ in range(3)), np.empty(hidden_shape, dtype=bool))
+    order_rngs = [spawn_rng(seed, 0x0D0E) for seed in seeds]
+    # Each epoch gathers every member's shuffled data once, as row indices
+    # into the members' examples laid end to end; batches are slices of it.
+    row_offsets = (np.arange(len(members)) * n)[:, None]
+    all_inputs = inputs.reshape(-1, inputs.shape[2])
+    all_onehot = onehot.reshape(-1, onehot.shape[2])
+    epoch_inputs = np.empty_like(inputs)
+    epoch_onehot = np.empty_like(onehot)
+    with single_blas_thread():
+        for epoch in range(cfg.epochs):
+            lr = cfg.initial_lr / cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
+            rows = np.stack([rng.permutation(n) for rng in order_rngs]) + row_offsets
+            np.take(all_inputs, rows, axis=0, out=epoch_inputs)
+            np.take(all_onehot, rows, axis=0, out=epoch_onehot)
+            for start in range(0, n, cfg.batch_size):
+                batch = slice(start, start + cfg.batch_size)
+                squared = _stacked_loss_and_gradients(
+                    layers, epoch_inputs[:, batch], epoch_onehot[:, batch], grad_layers, work
+                )
+                if not np.isfinite(squared):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch} (lr={lr:g}); "
+                        "reduce the learning rate"
+                    )
+                np.multiply(current, cfg.weight_decay, out=scratch)
+                grads += scratch
+                velocity *= cfg.momentum
+                velocity += grads
+                np.multiply(velocity, lr, out=grads)
+                current -= grads
+    return [MlpParams(*[layer[k] for layer in layers]) for k in range(len(members))]
 
 
 def train_sgd(params: MlpParams, data: LabeledDataset, cfg: TrainConfig) -> MlpParams:
@@ -218,30 +331,10 @@ def train_sgd(params: MlpParams, data: LabeledDataset, cfg: TrainConfig) -> MlpP
         TrainingDivergedError: as soon as a batch loss is non-finite,
             reporting the epoch and learning rate.
     """
-    if len(data) == 0:
-        raise ValueError("training data must be nonempty")
     c = max(data.n_classes, int(params.b2.shape[0]))
-    onehot_all = np.eye(c)[data.labels]
-    current = [a.copy() for a in params.arrays()]
-    velocity = [np.zeros_like(a) for a in current]
-    order_rng = spawn_rng(cfg.seed, 0x0D0E)
-    n = len(data)
-    for epoch in range(cfg.epochs):
-        lr = cfg.initial_lr / cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
-        order = order_rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            loss, grads = _loss_and_gradients_raw(current, data.inputs[idx], onehot_all[idx])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch} (lr={lr:g}); "
-                    "reduce the learning rate"
-                )
-            for slot, grad in enumerate(grads):
-                step = grad + cfg.weight_decay * current[slot]
-                velocity[slot] = cfg.momentum * velocity[slot] + step
-                current[slot] = current[slot] - lr * velocity[slot]
-    return MlpParams(*current)
+    onehot = np.eye(c)[data.labels]
+    (trained,) = _train_stacked([params], data.inputs[None], onehot[None], cfg, [cfg.seed])
+    return trained
 
 
 def inject_label_noise(labels: np.ndarray, p: float, c: int, seed: int) -> np.ndarray:
@@ -340,25 +433,6 @@ def synth_dataset(d_in: int, n: int, c: int, margin: float, seed: int) -> Labele
     return LabeledDataset(inputs=inputs, labels=labels, provenance="synthetic")
 
 
-def _train_member(
-    pool: LabeledDataset,
-    part_indices: np.ndarray,
-    test_inputs: np.ndarray,
-    c: int,
-    width: int,
-    cfg: TrainConfig,
-    member_seed: int,
-) -> np.ndarray:
-    part = LabeledDataset(
-        inputs=pool.inputs[part_indices],
-        labels=pool.labels[part_indices],
-        provenance=pool.provenance,
-    )
-    initial = init_mlp(pool.inputs.shape[1], width, c, member_seed)
-    trained = train_sgd(initial, part, replace(cfg, seed=member_seed))
-    return predict_probabilities(trained, test_inputs)
-
-
 def width_sweep(
     widths: Sequence[int],
     pool: LabeledDataset,
@@ -372,9 +446,10 @@ def width_sweep(
     For each width, ``plan.repeats * plan.parts_per_repeat`` models are
     trained (member seeds derive from ``(cfg.seed, width, repeat, part)``)
     and their softmax outputs on the test set are decomposed against one-hot
-    test labels.  Members may train in parallel (``max_workers``); outputs
-    land in preassigned slots, so the records are identical at any worker
-    count.
+    test labels.  A width's members are stepped together in one stacked
+    loop; each ends bitwise where :func:`train_sgd` alone would take it.
+    ``max_workers`` is accepted and must be >= 1, but it changes nothing:
+    there are no per-member jobs left to run in parallel.
 
     Returns:
         One ``(width, DecompositionResult)`` pair per width, in input order.
@@ -384,38 +459,33 @@ def width_sweep(
     """
     if not widths:
         raise ValueError("widths must be nonempty")
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     if plan.n_total != len(pool):
         raise ValueError(
             f"plan covers {plan.n_total} examples but pool has {len(pool)}"
         )
     c = max(pool.n_classes, test.n_classes)
     onehot_test = np.eye(c)[test.labels]
+    # Member k = repeat * parts_per_repeat + part trains on row k.
+    parts = plan.assignment.reshape(plan.model_count, -1)
+    inputs = pool.inputs[parts]
+    onehot = np.eye(c)[pool.labels[parts]]
     results: list[tuple[int, DecompositionResult]] = []
     for width in widths:
-        jobs = [
-            (i, j, derive_seed(cfg.seed, width, i, j))
+        seeds = [
+            derive_seed(cfg.seed, width, i, j)
             for i in range(plan.repeats)
             for j in range(plan.parts_per_repeat)
         ]
-        outputs = np.empty(
-            (len(test), plan.repeats, plan.parts_per_repeat, c), dtype=np.float64
-        )
-
-        def run(job: tuple[int, int, int]) -> None:
-            i, j, member_seed = job
-            outputs[:, i, j, :] = _train_member(
-                pool, plan.part(i, j), test.inputs, c, width, cfg, member_seed
-            )
-
+        initial = [init_mlp(pool.inputs.shape[1], width, c, seed) for seed in seeds]
         try:
-            if max_workers > 1:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool_exec:
-                    list(pool_exec.map(run, jobs))
-            else:
-                for job in jobs:
-                    run(job)
+            trained = _train_stacked(initial, inputs, onehot, cfg, seeds)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"width {width}: {exc}") from exc
+        outputs = np.stack(
+            [predict_probabilities(params, test.inputs) for params in trained], axis=1
+        ).reshape(len(test), plan.repeats, plan.parts_per_repeat, c)
         results.append(
             (int(width), estimate_mse_decomposition(PredictionMatrix(outputs), onehot_test))
         )

@@ -36,8 +36,8 @@ LDL^T factorization of the tridiagonal ``B B^T`` in O(m) scalar steps.
 
 Linear systems are solved with NumPy's LAPACK after a Cholesky factorization
 confirms the regularized Gram matrix is positive definite; nothing is
-explicitly inverted, and every BLAS/LAPACK call runs in NumPy's one runtime
-(``mc_risk_mtilde`` makes none).
+explicitly inverted, and every BLAS/LAPACK call runs in NumPy's one runtime,
+on one thread during a Monte Carlo run (``mc_risk_mtilde`` makes none).
 A Monte Carlo trial's system is min(p, d, n) x min(p, d, n); ``m_matrix``
 keeps the p x p system on ``X X^T`` as the direct reference.
 Trials own disjoint RNG streams derived from the master seed and are reduced
@@ -54,6 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._blas import single_blas_thread
 from .seeding import spawn_rng
 
 __all__ = [
@@ -270,8 +271,10 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     identity of the empirical decomposition.
 
     Raises:
-        ValueError: if ``trials < 2`` (the variance is undefined).
+        ValueError: if ``trials`` is not an integer >= 2 (the variance is
+            undefined for one trial).
     """
+    _require_positive_int("trials", trials)
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     d = dims.d
@@ -280,13 +283,14 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     m_sum = np.zeros((d, d))
     sq_sum = 0.0
     trace_sum = 0.0
-    for t in range(trials):
-        rng = spawn_rng(master_seed, t)
-        W = rng.standard_normal((dims.p, d)) * scale
-        M = _m_from_factor(W, _wishart_factor(rng, d, dims.n), lam)
-        m_sum += M
-        sq_sum += float(np.vdot(M, M))
-        trace_sum += float(np.trace(M))
+    with single_blas_thread():
+        for t in range(trials):
+            rng = spawn_rng(master_seed, t)
+            W = rng.standard_normal((dims.p, d)) * scale
+            M = _m_from_factor(W, _wishart_factor(rng, d, dims.n), lam)
+            m_sum += M
+            sq_sum += float(np.vdot(M, M))
+            trace_sum += float(np.trace(M))
     m_mean = m_sum / trials
     sq_mean = sq_sum / trials
     trace_mean = trace_sum / trials

@@ -209,6 +209,30 @@ class TestMainEntry:
         assert main(args) == 0
         assert out.read_bytes() == first
 
+    def test_mlp_sweep_output_pinned(self, tmp_path):
+        """Exact risk/bias/variance floats of a small sweep.
+
+        Parts of 1024 examples in batches of 100 end each epoch on a partial
+        batch.  The floats were recorded with NumPy 2.4.6 and its bundled
+        OpenBLAS 0.3.31 on x86-64; another BLAS build may round differently.
+        """
+        cfg_path = tmp_path / "pinned.cfg"
+        cfg_path.write_text(
+            "widths = 2,5,16\nd_in = 16\nclasses = 4\npool_size = 2048\n"
+            "test_size = 512\nmargin = 2.0\nnoise_p = 0.1\nparts = 2\n"
+            "repeats = 3\nepochs = 4\ninitial_lr = 0.3\nlr_decay_every = 2\n"
+            "batch_size = 100\nseed = 1234\n"
+        )
+        out = tmp_path / "pinned.json"
+        assert main(["mlp-sweep", "--config", str(cfg_path), "--format", "json",
+                     "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert [(r["width"], r["risk"], r["bias_sq"], r["variance"]) for r in rows] == [
+            (2, 0.4934143717392908, 0.34572950174065264, 0.14768486999863817),
+            (5, 0.373513016304192, 0.27729732301901944, 0.09621569328517252),
+            (16, 0.29167923014371355, 0.25648312853704003, 0.0351961016066735),
+        ]
+
     def test_timings_flag_fills_column(self, tmp_path):
         out = tmp_path / "timed.csv"
         assert main(["theory", "--set", "lambda0=1", "--set", "gamma=1",

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,3 +306,34 @@ class TestWidthSweep:
         pool, test, plan, cfg = tiny_sweep_setup()
         with pytest.raises(ValueError, match="widths"):
             width_sweep([], pool, test, plan, cfg)
+
+    def test_members_equal_training_each_alone(self, monkeypatch):
+        """Stacked members end bitwise where init_mlp -> train_sgd -> predict takes each."""
+        pool, test, plan, _ = tiny_sweep_setup(pool_n=90, repeats=2)
+        cfg = TrainConfig(epochs=4, initial_lr=0.3, lr_decay_every=2,
+                          batch_size=20, seed=103)  # 45-example parts: a partial batch
+        captured = []
+        decompose = mlp_module.estimate_mse_decomposition
+
+        def capture(matrix, onehot):
+            captured.append(matrix.outputs)
+            return decompose(matrix, onehot)
+
+        monkeypatch.setattr(mlp_module, "estimate_mse_decomposition", capture)
+        widths = [1, 3, 37]
+        width_sweep(widths, pool, test, plan, cfg)
+        for width, outputs in zip(widths, captured):
+            for i in range(plan.repeats):
+                for j in range(plan.parts_per_repeat):
+                    seed = mlp_module.derive_seed(cfg.seed, width, i, j)
+                    part = LabeledDataset(pool.inputs[plan.part(i, j)],
+                                          pool.labels[plan.part(i, j)])
+                    alone = train_sgd(init_mlp(4, width, 3, seed), part,
+                                      replace(cfg, seed=seed))
+                    expected = predict_probabilities(alone, test.inputs)
+                    assert np.array_equal(outputs[:, i, j, :], expected)
+
+    def test_zero_workers_rejected(self):
+        pool, test, plan, cfg = tiny_sweep_setup()
+        with pytest.raises(ValueError, match="max_workers"):
+            width_sweep([2], pool, test, plan, cfg, max_workers=0)

@@ -307,6 +307,11 @@ class TestMcBiasVariance:
         with pytest.raises(SingularSystemError):
             mc_bias_variance(dims, 2, 0)
 
+    @pytest.mark.parametrize("trials", [2.5, 3.0, 0])
+    def test_non_integer_or_zero_trials_named(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            mc_bias_variance(ModelDims(d=4, n=8, p=2, lambda0=1.0), trials, 0)
+
 
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(twolayer.__file__))
