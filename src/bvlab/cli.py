@@ -9,17 +9,17 @@ decompose   decompose a dumped prediction ensemble (JSON file)
 
 Every run is described by a flat ``key = value`` config file; command-line
 flags override config values (``--set key=value`` works for any key).
-Results are emitted as CSV (header below, floats at 9 significant digits)
-or as a JSON array with the same keys:
+Each run yields a column table (:data:`Table`) with the columns
 
     mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,wall_time_s
 
-Unused columns stay empty.  The wall_time_s column is filled only when
-``--timings`` (or ``timings = on``) is set, so default reruns of one config
-produce byte-identical files.  It holds each row's own run time, except in
-theory mode, where the whole grid is evaluated at once and every row holds
-that evaluation's time divided by the number of rows.  JSON output is one
-compact line per run.
+which :func:`emit` writes column by column as CSV (that header, floats at 9
+significant digits, unused columns empty) or as a compact one-line JSON
+array of row objects with the same keys.  The wall_time_s column is filled
+only when ``--timings`` (or ``timings = on``) is set, so default reruns of
+one config produce byte-identical files.  It holds each row's own run time,
+except in theory mode, where the whole grid is evaluated at once and every
+row holds that evaluation's time divided by the number of rows.
 """
 
 from __future__ import annotations
@@ -38,35 +38,20 @@ import numpy as np
 
 from . import estimators, mlp, theory, twolayer
 
-__all__ = ["ConfigError", "SweepConfig", "SweepRecord", "run_config", "emit", "main"]
+__all__ = ["ConfigError", "SweepConfig", "Table", "run_config", "emit", "main"]
 
 CSV_HEADER = "mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,wall_time_s"
+_COLUMNS = tuple(CSV_HEADER.split(","))
+
+# A column table: column name -> a list with one value per row, or a single
+# value that every row shares (None renders as an empty cell).
+Table = dict[str, object]
 
 MODES = ("theory", "simulate", "mlp-sweep", "decompose")
 
 
 class ConfigError(ValueError):
     """A sweep configuration is missing or malformed; names the field."""
-
-
-@dataclass
-class SweepRecord:
-    """One output row; ``None`` fields render as empty CSV cells."""
-
-    mode: str
-    lambda0: Optional[float] = None
-    gamma: Optional[float] = None
-    width: Optional[int] = None
-    d: Optional[int] = None
-    n: Optional[int] = None
-    p: Optional[int] = None
-    noise_p: Optional[float] = None
-    trials: Optional[int] = None
-    seed: Optional[int] = None
-    risk: Optional[float] = None
-    bias_sq: Optional[float] = None
-    variance: Optional[float] = None
-    wall_time_s: Optional[float] = None
 
 
 @dataclass
@@ -268,52 +253,44 @@ def _clock(cfg: SweepConfig, started: float, rows: int = 1) -> Optional[float]:
     return round((time.perf_counter() - started) / rows, 9)
 
 
-def _run_theory(cfg: SweepConfig) -> list[SweepRecord]:
+def _table(mode: str, names: Sequence[str] = (), rows: Sequence[tuple] = (),
+           **columns) -> Table:
+    """A column table in ``CSV_HEADER`` order: ``columns``, plus one column per
+    entry of ``names`` taken from the ``rows`` tuples; the rest hold None."""
+    columns.update(zip(names, map(list, zip(*rows))), mode=mode)
+    return {name: columns.get(name) for name in _COLUMNS}
+
+
+def _run_theory(cfg: SweepConfig) -> Table:
     started = time.perf_counter()
-    lam = np.repeat(np.asarray(cfg.lambda0_grid, dtype=np.float64), len(cfg.gamma_grid))
-    gam = np.tile(np.asarray(cfg.gamma_grid, dtype=np.float64), len(cfg.lambda0_grid))
-    bias_sq, variance, risk, *_ = theory.closed_form(lam, gam)
-    wall_time_s = _clock(cfg, started, lam.size)
-    rows = zip(
-        itertools.product(cfg.lambda0_grid, cfg.gamma_grid),
-        risk.tolist(), bias_sq.tolist(), variance.tolist(),
+    bias_sq, variance, risk, *_ = theory.closed_form(
+        np.asarray(cfg.lambda0_grid)[:, None], np.asarray(cfg.gamma_grid))
+    wall_time_s = _clock(cfg, started, risk.size)
+    # Each grid value is one float object, however often it repeats: emit renders it once.
+    return _table(
+        "theory", lambda0=[lam0 for lam0 in cfg.lambda0_grid for _ in cfg.gamma_grid],
+        gamma=cfg.gamma_grid * len(cfg.lambda0_grid), risk=risk.ravel().tolist(),
+        bias_sq=bias_sq.ravel().tolist(), variance=variance.ravel().tolist(),
+        wall_time_s=wall_time_s,
     )
-    return [
-        SweepRecord(
-            mode="theory", lambda0=lam0, gamma=gamma, risk=r, bias_sq=b,
-            variance=v, wall_time_s=wall_time_s,
-        )
-        for (lam0, gamma), r, b, v in rows
-    ]
 
 
-def _run_simulate(cfg: SweepConfig) -> list[SweepRecord]:
-    records = []
+def _run_simulate(cfg: SweepConfig) -> Table:
+    rows = []
     for lam0 in cfg.lambda0_grid:
         for p in cfg.p_grid:
             started = time.perf_counter()
             dims = twolayer.ModelDims(d=cfg.d, n=cfg.n, p=p, lambda0=lam0)
             stats = twolayer.mc_bias_variance(dims, cfg.trials, cfg.seed)
-            records.append(
-                SweepRecord(
-                    mode="simulate",
-                    lambda0=lam0,
-                    gamma=dims.gamma,
-                    d=cfg.d,
-                    n=cfg.n,
-                    p=p,
-                    trials=cfg.trials,
-                    seed=cfg.seed,
-                    risk=stats.risk,
-                    bias_sq=stats.bias_sq,
-                    variance=stats.variance,
-                    wall_time_s=_clock(cfg, started),
-                )
-            )
-    return records
+            rows.append((lam0, dims.gamma, p, stats.risk, stats.bias_sq, stats.variance,
+                         _clock(cfg, started)))
+    return _table(
+        "simulate", ("lambda0", "gamma", "p", "risk", "bias_sq", "variance", "wall_time_s"),
+        rows, d=cfg.d, n=cfg.n, trials=cfg.trials, seed=cfg.seed,
+    )
 
 
-def _run_mlp_sweep(cfg: SweepConfig) -> list[SweepRecord]:
+def _run_mlp_sweep(cfg: SweepConfig) -> Table:
     pool = mlp.synth_dataset(
         cfg.d_in, cfg.pool_size, cfg.classes, cfg.margin, cfg.seed * 2 + 1
     )
@@ -336,28 +313,17 @@ def _run_mlp_sweep(cfg: SweepConfig) -> list[SweepRecord]:
         batch_size=cfg.batch_size,
         seed=cfg.seed,
     )
-    records = []
+    rows = []
     for width in cfg.widths:
         started = time.perf_counter()
         (_, result), = mlp.width_sweep(
             [width], pool, test, plan, train_cfg, max_workers=cfg.threads
         )
-        records.append(
-            SweepRecord(
-                mode="mlp-sweep",
-                width=width,
-                d=cfg.d_in,
-                n=plan.part_size,
-                noise_p=cfg.noise_p,
-                trials=plan.model_count,
-                seed=cfg.seed,
-                risk=result.risk,
-                bias_sq=result.bias_sq,
-                variance=result.variance,
-                wall_time_s=_clock(cfg, started),
-            )
-        )
-    return records
+        rows.append((width, result.risk, result.bias_sq, result.variance,
+                     _clock(cfg, started)))
+    return _table(
+        "mlp-sweep", ("width", "risk", "bias_sq", "variance", "wall_time_s"), rows, d=cfg.d_in,
+        n=plan.part_size, noise_p=cfg.noise_p, trials=plan.model_count, seed=cfg.seed)
 
 
 def _load_dump(path: str) -> tuple[np.ndarray, np.ndarray, str]:
@@ -384,7 +350,7 @@ def _load_dump(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     return outputs, labels, kind
 
 
-def _run_decompose(cfg: SweepConfig) -> list[SweepRecord]:
+def _run_decompose(cfg: SweepConfig) -> Table:
     started = time.perf_counter()
     outputs, labels, kind = _load_dump(cfg.input_path)
     if kind == "real":
@@ -394,17 +360,11 @@ def _run_decompose(cfg: SweepConfig) -> list[SweepRecord]:
     else:
         ensemble = estimators.ProbabilityEnsemble.from_predictions(outputs)
         result = estimators.estimate_kl_decomposition(ensemble, labels)
-    return [
-        SweepRecord(
-            mode="decompose",
-            n=outputs.shape[0],
-            trials=outputs.shape[1] * outputs.shape[2],
-            risk=result.risk,
-            bias_sq=result.bias_sq,
-            variance=result.variance,
-            wall_time_s=_clock(cfg, started),
-        )
-    ]
+    return _table(
+        "decompose", n=outputs.shape[0], trials=outputs.shape[1] * outputs.shape[2],
+        risk=result.risk, bias_sq=result.bias_sq, variance=result.variance,
+        wall_time_s=_clock(cfg, started),
+    )
 
 
 _RUNNERS = {
@@ -415,14 +375,14 @@ _RUNNERS = {
 }
 
 
-def run_config(config: SweepConfig) -> list[SweepRecord]:
-    """Dispatch a validated config to its runner; records come back in
+def run_config(config: SweepConfig) -> Table:
+    """Dispatch a validated config to its runner; rows come back in
     deterministic grid order."""
     config.validate()
     return _RUNNERS[config.mode](config)
 
 
-def _render_cell(value) -> str:
+def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
@@ -430,30 +390,68 @@ def _render_cell(value) -> str:
     return str(value)
 
 
-def emit(records: Sequence[SweepRecord], path: Optional[str], emit_format: str) -> None:
-    """Write records to ``path`` (stdout when None) as CSV or JSON.
+def _csv_floats(values: list[float]) -> list[str]:
+    return list(map(format, values, itertools.repeat(".9g")))
 
-    CSV floats carry 9 significant digits and the header is byte-stable
-    across runs and modes; JSON is an array of objects with the same keys at
-    full float precision, so a JSON round-trip reproduces the records
-    exactly.  JSON is written on one line without indentation, which lets
-    :func:`json.dumps` use its C encoder.
+
+def _json_floats(values: list[float]) -> list[str]:
+    texts = list(map(float.__repr__, values))
+    if not math.isfinite(sum(values)):  # a NaN or an infinity, or an overflow
+        spellings = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+        texts = list(map(spellings.get, texts, texts))
+    return texts
+
+
+def _render(column: list, cell, floats) -> list[str]:
+    """The column's cell texts; each distinct object in it is rendered once."""
+    distinct = dict(zip(map(id, column), column))
+    values = column if len(distinct) == len(column) else list(distinct.values())
+    texts = floats(values) if set(map(type, values)) == {float} else list(map(cell, values))
+    if values is column:
+        return texts
+    text_of = dict(zip(distinct, texts))
+    return list(map(text_of.__getitem__, map(id, column)))
+
+
+def emit(table: Table, path: Optional[str], emit_format: str) -> None:
+    """Write a column table to ``path`` (stdout when None) as CSV or JSON.
+
+    CSV has a header of the table's column names and floats at 9 significant
+    digits.  JSON is, byte for byte, what :func:`json.dumps` writes for the
+    list of row objects: one line, floats at full precision, so it loads back
+    to the table exactly.  Each column is rendered in one pass, a shared one
+    once, and one join interleaves the cells into rows.
     """
-    if not records:
-        raise ValueError("no records to emit")
-    # A record's __dict__ holds its fields in declaration order, the order
-    # of CSV_HEADER.
+    names = list(table)
     if emit_format == "csv":
-        lines = [CSV_HEADER]
-        lines.extend(
-            ",".join(_render_cell(value) for value in vars(record).values())
-            for record in records
-        )
-        payload = "\n".join(lines) + "\n"
+        cell, floats, keys = _csv_cell, _csv_floats, ["", *[","] * (len(names) - 1)]
+        head, between, tail = ",".join(names) + "\n", "\n", "\n"
     elif emit_format == "json":
-        payload = json.dumps([vars(record) for record in records]) + "\n"
+        cell, floats = json.dumps, _json_floats
+        keys = [", " * (i > 0) + json.dumps(name) + ": " for i, name in enumerate(names)]
+        head, between, tail = "[{", "}, {", "}]\n"
     else:
         raise ValueError(f"format must be csv or json, got {emit_format!r}")
+    lengths = {len(column) for column in table.values() if isinstance(column, list)}
+    if len(lengths) > 1:
+        raise ValueError(f"per-row columns differ in length: {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 1
+    if rows == 0:
+        raise ValueError("no records to emit")
+    # A row is texts[0] cells[0] texts[1] ... cells[-1] texts[-1].
+    texts, cells = [""], []
+    for key, column in zip(keys, table.values()):
+        texts[-1] += key
+        if isinstance(column, list):
+            cells.append(_render(column, cell, floats))
+            texts.append("")
+        else:
+            texts[-1] += cell(column)
+    last = texts.pop()
+    streams = [s for text, column in zip(texts, cells)
+               for s in (itertools.repeat(text, rows), column)]
+    streams.append([last + between] * (rows - 1) + [last + tail])
+    payload = head + "".join(itertools.chain.from_iterable(zip(*streams)))
     if path is None:
         sys.stdout.write(payload)
     else:

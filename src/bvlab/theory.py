@@ -174,9 +174,9 @@ _DIFF_NOISE = 1e-13
 def variance_peak(lambda0: float, tol: float = 1e-6) -> float:
     """Width ratio at which the limiting variance attains its maximum.
 
-    A coarse scan over ``(0, 2]`` brackets the maximum (and verifies that the
-    scanned curve rises and falls exactly once), then golden-section search
-    refines the bracket to ``tol``.
+    A coarse scan over ``(0, 2]``, one :func:`closed_form` array call,
+    brackets the maximum (and verifies that the scanned curve rises and falls
+    exactly once), then golden-section search refines the bracket to ``tol``.
 
     Raises:
         PeakSearchError: if the scan does not show a single interior
@@ -185,7 +185,7 @@ def variance_peak(lambda0: float, tol: float = 1e-6) -> float:
     if lambda0 <= 0.0:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
     grid = _SCAN_GRID
-    values = np.array([theory_point(lambda0, g).variance for g in grid])
+    _, values, *_ = closed_form(lambda0, np.asarray(grid))
     diffs = np.diff(values)
     signs = np.sign(diffs[np.abs(diffs) > _DIFF_NOISE])
     changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
@@ -277,12 +277,19 @@ def narayana_series_closed(lambda0: float, eta: float) -> float:
 
 
 def _spectral_mean_inverse_square(alpha: float, eta: float) -> float:
-    """E[1 / (1 + (alpha/eta)x)^2] under the Marchenko-Pastur law of ratio eta <= 1."""
-    num = alpha + eta * (1.0 + eta - 2.0 * alpha + eta * alpha)
-    den = 2.0 * eta * math.sqrt(
-        eta * eta + 2.0 * eta * alpha * (1.0 + eta) + alpha * alpha * (1.0 - eta) ** 2
-    )
-    return num / den - (1.0 - eta) / (2.0 * eta)
+    """E[1 / (1 + (alpha/eta)x)^2] under the Marchenko-Pastur law of ratio eta <= 1.
+
+    Algebraically ``num / (2*eta*s) - (1 - eta) / (2*eta)`` with
+    ``num = alpha*(1-eta)^2 + eta*(1+eta)`` and
+    ``s^2 = eta^2 + 2*eta*alpha*(1+eta) + alpha^2*(1-eta)^2``.  Since
+    ``num^2 - (1-eta)^2 * s^2 = 4*eta^3``, it is evaluated as
+    ``2*eta^2 / (s * (num + (1-eta)*s))``, which subtracts nothing and so
+    keeps relative precision where the difference cancels.
+    """
+    gap = 1.0 - eta
+    num = alpha * gap * gap + eta * (1.0 + eta)
+    s = math.sqrt(eta * eta + 2.0 * eta * alpha * (1.0 + eta) + alpha * alpha * gap * gap)
+    return 2.0 * eta * eta / (s * (num + gap * s))
 
 
 def mp_risk(lambda0: float, eta: float) -> float:

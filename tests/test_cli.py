@@ -1,8 +1,13 @@
+import contextlib
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bvlab.cli as cli
@@ -122,10 +127,12 @@ class TestConfigParsing:
 class TestRunConfig:
     def test_theory_single_point(self):
         cfg = build_config("theory", {"lambda0": "1", "gamma": "1"})
-        (record,) = run_config(cfg)
-        assert record.mode == "theory"
-        assert_allclose(record.risk, 0.447214, atol=1e-6)
-        assert record.width is None and record.wall_time_s is None
+        table = run_config(cfg)
+        assert list(table) == CSV_HEADER.split(",")
+        assert table["mode"] == "theory"
+        (risk,) = table["risk"]
+        assert_allclose(risk, 0.447214, atol=1e-6)
+        assert table["width"] is None and table["wall_time_s"] is None
 
     def test_simulate_identical_trials_zero_variance(self, monkeypatch):
         monkeypatch.setattr(
@@ -135,19 +142,20 @@ class TestRunConfig:
             "simulate",
             {"lambda0": "1", "d": "6", "n": "30", "p": "4", "trials": "2", "seed": "3"},
         )
-        (record,) = run_config(cfg)
-        assert record.variance <= 1e-12
-        assert record.trials == 2 and record.p == 4
+        table = run_config(cfg)
+        (variance,) = table["variance"]
+        assert variance <= 1e-12
+        assert table["trials"] == 2 and table["p"] == [4]
 
     def test_mlp_sweep_rows_ascend(self):
         cfg = build_config("mlp-sweep", dict(MLP_PAIRS))
-        records = run_config(cfg)
-        assert [r.width for r in records] == [2, 4, 8]
-        for record in records:
-            assert record.mode == "mlp-sweep"
-            assert record.n == 30  # pool of 60 split in two parts
-            assert record.trials == 2
-            assert_allclose(record.risk, record.bias_sq + record.variance, rtol=1e-9)
+        table = run_config(cfg)
+        assert table["width"] == [2, 4, 8]
+        assert table["mode"] == "mlp-sweep"
+        assert table["n"] == 30  # pool of 60 split in two parts
+        assert table["trials"] == 2
+        for risk, bias_sq, variance in zip(table["risk"], table["bias_sq"], table["variance"]):
+            assert_allclose(risk, bias_sq + variance, rtol=1e-9)
 
     def test_records_deterministic(self):
         cfg = build_config("theory", {"lambda0": "0.1,1", "gamma": "0.5,1,2"})
@@ -172,19 +180,71 @@ class TestEmit:
     def test_json_roundtrip_exact(self, tmp_path):
         out = tmp_path / "table.json"
         cfg = build_config("theory", {"lambda0": "0.1,1", "gamma": "0.5,2"})
-        records = run_config(cfg)
-        emit(records, str(out), "json")
+        table = run_config(cfg)
+        emit(table, str(out), "json")
         loaded = json.loads(out.read_text())
-        assert len(loaded) == len(records)
-        for row, record in zip(loaded, records):
-            assert row["risk"] == record.risk
-            assert row["bias_sq"] == record.bias_sq
-            assert row["variance"] == record.variance
+        assert len(loaded) == len(table["risk"])
+        for row, risk, bias_sq, variance in zip(
+                loaded, table["risk"], table["bias_sq"], table["variance"]):
+            assert row["risk"] == risk
+            assert row["bias_sq"] == bias_sq
+            assert row["variance"] == variance
             assert row["width"] is None
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no records"):
-            emit([], str(tmp_path / "x.csv"), "csv")
+            emit({"mode": "theory", "risk": []}, str(tmp_path / "x.csv"), "csv")
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            emit({"risk": [1.0, 2.0], "variance": [1.0]}, None, "csv")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_row_wise_reference(self, data):
+        """Against the row-by-row renderings the column-wise emitter replaced:
+        json.dumps of the row objects, and 9-digit CSV cells."""
+        names = CSV_HEADER.split(",")
+        rows = data.draw(st.integers(1, 6))
+        table = {name: data.draw(column_strategy(rows)) for name in names}
+        if not any(isinstance(column, list) for column in table.values()):
+            rows = 1  # a table of shared values alone has one row
+        grid = [[column[i] if isinstance(column, list) else column
+                 for column in table.values()] for i in range(rows)]
+        json_text = emitted(table, "json")
+        assert json_text == json.dumps([dict(zip(names, row)) for row in grid]) + "\n"
+        assert [[repr(value) for value in row.values()] for row in json.loads(json_text)] == [
+            [repr(value) for value in row] for row in grid]
+        csv_lines = [",".join(names)] + [",".join(map(csv_cell, row)) for row in grid]
+        assert emitted(table, "csv") == "\n".join(csv_lines) + "\n"
+
+
+# Floats include NaN, both infinities, -0.0 and subnormals.
+CELL_VALUES = st.one_of(
+    st.none(), st.integers(), st.text(max_size=5), st.floats(), st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.225073858507201e-308]),
+)
+
+
+def column_strategy(rows):
+    """A shared value, or a per-row list drawn from a few objects, so that
+    one object can repeat down the column; some columns hold floats only."""
+    per_row = st.lists(CELL_VALUES, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
+    all_floats = st.lists(st.floats(), min_size=rows, max_size=rows)
+    return st.one_of(CELL_VALUES, per_row, all_floats)
+
+
+def csv_cell(value):
+    if value is None:
+        return ""
+    return format(value, ".9g") if isinstance(value, float) else str(value)
+
+
+def emitted(table, emit_format):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        emit(table, None, emit_format)
+    return out.getvalue()
 
 
 class TestMainEntry:
@@ -278,6 +338,34 @@ class TestMainEntry:
             assert (row["bias_sq"], row["variance"], row["risk"]) == (
                 point.bias_sq, point.variance, point.risk)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(1e-12, 1e8), min_size=1, max_size=3),
+           st.lists(st.floats(1e-8, 1e8), min_size=1, max_size=4))
+    def test_parse_emit_parse_round_trip(self, lambda0, gamma):
+        """The JSON output loads back to the run's table exactly, and the CSV
+        output parses back to it at 9 significant digits."""
+        pairs = {"lambda0": ",".join(map(repr, lambda0)), "gamma": ",".join(map(repr, gamma))}
+        table = run_config(build_config("theory", pairs))
+        rows = len(lambda0) * len(gamma)
+        columns = {name: column if isinstance(column, list) else [column] * rows
+                   for name, column in table.items()}
+        argv = ["theory", *(arg for key, value in pairs.items()
+                            for arg in ("--set", f"{key}={value}"))]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv + ["--format", "json"]) == 0
+        loaded = json.loads(out.getvalue())
+        assert {name: [row[name] for row in loaded] for name in table} == columns
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv + ["--format", "csv"]) == 0
+        header, *cells = csv.reader(io.StringIO(out.getvalue()))
+        assert header == list(table) and len(cells) == rows
+        for name, parsed in zip(header, zip(*cells)):
+            for text, value in zip(parsed, columns[name]):
+                if isinstance(value, float):
+                    assert math.isclose(float(text), value, rel_tol=1e-8)
+                else:
+                    assert text == ("" if value is None else value)
+
     def test_theory_timings_share_the_grid_time(self, tmp_path):
         out = tmp_path / "timed.json"
         assert main(["theory", "--set", "lambda0=0.1,1", "--set", "gamma=0.5,1,2",
@@ -312,6 +400,116 @@ class TestMainEntry:
         args = ["theory", "--set", "lambda0=1", "--set", "gamma=1",
                 "--out", str(tmp_path / "missing_dir" / "x.csv")]
         assert main(args) == 1
+
+
+GOLDEN_RUNS = {
+    "theory": ["--set", "lambda0=1e-12,1", "--set", "gamma=0.5,1e8"],
+    "simulate": ["--set", "lambda0=0.1,1", "--set", "d=4", "--set", "n=16",
+                 "--set", "p=2,6", "--set", "trials=3", "--set", "seed=7"],
+    "mlp-sweep": [arg for key, value in {**MLP_PAIRS, "widths": "2,8", "noise_p": "0.1"}.items()
+                  for arg in ("--set", f"{key}={value}")],
+    "decompose": [],  # the dump is written by the test
+}
+
+# Output bytes of GOLDEN_RUNS, recorded with the row-by-row emitter that the
+# column-wise one replaced.
+GOLDEN = {
+    ("theory", "csv"): (
+        'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
+        'wall_time_s\n'
+        'theory,1e-12,0.5,,,,,,,,0.5,0.25,0.25,\n'
+        'theory,1e-12,100000000,,,,,,,,1.00000003e-40,1.00000002e-40,'
+        '1.00000003e-48,\n'
+        'theory,1,0.5,,,,,,,,0.674437344,0.609611797,0.064825547,\n'
+        'theory,1,100000000,,,,,,,,1.00000001e-16,1e-16,9.9999999e-25,\n'
+    ),
+    ("theory", "json"): (
+        '[{"mode": "theory", "lambda0": 1e-12, "gamma": 0.5, "width": null, '
+        '"d": null, "n": null, "p": null, "noise_p": null, "trials": null, '
+        '"seed": null, "risk": 0.5000000000000001, "bias_sq": 0.2500000000010001, '
+        '"variance": 0.24999999999900002, "wall_time_s": null}, {"mode": "theory", '
+        '"lambda0": 1e-12, "gamma": 100000000.0, "width": null, "d": null, '
+        '"n": null, "p": null, "noise_p": null, "trials": null, "seed": null, '
+        '"risk": 1.0000000300000008e-40, "bias_sq": 1.0000000200000004e-40, '
+        '"variance": 1.0000000300000004e-48, "wall_time_s": null}, '
+        '{"mode": "theory", "lambda0": 1.0, "gamma": 0.5, "width": null, '
+        '"d": null, "n": null, "p": null, "noise_p": null, "trials": null, '
+        '"seed": null, "risk": 0.6744373438135827, "bias_sq": 0.6096117967977924, '
+        '"variance": 0.06482554701579028, "wall_time_s": null}, {"mode": "theory", '
+        '"lambda0": 1.0, "gamma": 100000000.0, "width": null, "d": null, '
+        '"n": null, "p": null, "noise_p": null, "trials": null, "seed": null, '
+        '"risk": 1.00000001e-16, "bias_sq": 1.0000000000000001e-16, '
+        '"variance": 9.999999899999997e-25, "wall_time_s": null}]\n'
+    ),
+    ("simulate", "csv"): (
+        'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
+        'wall_time_s\n'
+        'simulate,0.1,0.5,,4,16,2,,3,7,0.553652935,0.429311733,0.124341202,\n'
+        'simulate,0.1,1.5,,4,16,6,,3,7,0.086145545,0.0556881407,0.0304574043,\n'
+        'simulate,1,0.5,,4,16,2,,3,7,0.717787658,0.668159318,0.0496283396,\n'
+        'simulate,1,1.5,,4,16,6,,3,7,0.402283893,0.356426482,0.0458574113,\n'
+    ),
+    ("simulate", "json"): (
+        '[{"mode": "simulate", "lambda0": 0.1, "gamma": 0.5, "width": null, '
+        '"d": 4, "n": 16, "p": 2, "noise_p": null, "trials": 3, "seed": 7, '
+        '"risk": 0.5536529351477328, "bias_sq": 0.4293117328452677, '
+        '"variance": 0.12434120230246518, "wall_time_s": null}, '
+        '{"mode": "simulate", "lambda0": 0.1, "gamma": 1.5, "width": null, "d": 4, '
+        '"n": 16, "p": 6, "noise_p": null, "trials": 3, "seed": 7, '
+        '"risk": 0.08614554502936222, "bias_sq": 0.05568814068229002, '
+        '"variance": 0.030457404347072337, "wall_time_s": null}, '
+        '{"mode": "simulate", "lambda0": 1.0, "gamma": 0.5, "width": null, "d": 4, '
+        '"n": 16, "p": 2, "noise_p": null, "trials": 3, "seed": 7, '
+        '"risk": 0.7177876577826687, "bias_sq": 0.6681593181654261, '
+        '"variance": 0.049628339617242806, "wall_time_s": null}, '
+        '{"mode": "simulate", "lambda0": 1.0, "gamma": 1.5, "width": null, "d": 4, '
+        '"n": 16, "p": 6, "noise_p": null, "trials": 3, "seed": 7, '
+        '"risk": 0.4022838933836079, "bias_sq": 0.3564264820533929, '
+        '"variance": 0.04585741133021487, "wall_time_s": null}]\n'
+    ),
+    ("mlp-sweep", "csv"): (
+        'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
+        'wall_time_s\n'
+        'mlp-sweep,,,2,4,30,,0.1,2,100,0.658005304,0.625830706,0.0321745974,\n'
+        'mlp-sweep,,,8,4,30,,0.1,2,100,0.511495098,0.451937357,0.0595577405,\n'
+    ),
+    ("mlp-sweep", "json"): (
+        '[{"mode": "mlp-sweep", "lambda0": null, "gamma": null, "width": 2, '
+        '"d": 4, "n": 30, "p": null, "noise_p": 0.1, "trials": 2, "seed": 100, '
+        '"risk": 0.6580053038133905, "bias_sq": 0.6258307063866463, '
+        '"variance": 0.032174597426744195, "wall_time_s": null}, '
+        '{"mode": "mlp-sweep", "lambda0": null, "gamma": null, "width": 8, "d": 4, '
+        '"n": 30, "p": null, "noise_p": 0.1, "trials": 2, "seed": 100, '
+        '"risk": 0.5114950976333966, "bias_sq": 0.4519373570851306, '
+        '"variance": 0.05955774054826604, "wall_time_s": null}]\n'
+    ),
+    ("decompose", "csv"): (
+        'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
+        'wall_time_s\n'
+        'decompose,,,,,2,,,6,,1.08072917,1.00130208,0.0794270833,\n'
+    ),
+    ("decompose", "json"): (
+        '[{"mode": "decompose", "lambda0": null, "gamma": null, "width": null, '
+        '"d": null, "n": 2, "p": null, "noise_p": null, "trials": 6, "seed": null, '
+        '"risk": 1.0807291666666665, "bias_sq": 1.0013020833333333, '
+        '"variance": 0.07942708333333334, "wall_time_s": null}]\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("mode, fmt", list(GOLDEN))
+def test_output_bytes_pinned(mode, fmt, tmp_path):
+    """Small runs of every mode, byte for byte.  The mlp-sweep floats were
+    recorded with NumPy 2.4.6 and its bundled OpenBLAS 0.3.31 on x86-64;
+    another BLAS build may round them differently."""
+    args = list(GOLDEN_RUNS[mode])
+    if mode == "decompose":
+        outputs = (np.arange(24).reshape(2, 2, 3, 2) % 5) / 8.0 - 0.25
+        write_dump(tmp_path / "dump.json", outputs, [[1.0, 0.0], [0.0, 1.0]], "real")
+        args += ["--input", str(tmp_path / "dump.json")]
+    out = tmp_path / f"out.{fmt}"
+    assert main([mode, *args, "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN[mode, fmt].encode()
 
 
 def write_dump(path, outputs, labels, kind):

@@ -249,15 +249,17 @@ class TestVariancePeak:
         """A bimodal curve must raise instead of returning a bogus argmax."""
         import bvlab.theory as theory_module
 
-        class FakePoint:
-            def __init__(self, gamma):
-                self.variance = math.sin(6.0 * gamma)
-
         monkeypatch.setattr(
-            theory_module, "theory_point", lambda lam0, gamma: FakePoint(gamma)
+            theory_module, "closed_form", lambda lam0, gamma: (None, np.sin(6.0 * gamma))
         )
         with pytest.raises(PeakSearchError, match="not unimodal"):
             theory_module.variance_peak(0.5)
+
+    def test_pinned_values(self):
+        """The scan is one closed_form array call, bit-equal to the scalar
+        theory_point scan it replaced, so these results stay exact."""
+        assert [variance_peak(lam0) for lam0 in (0.01, 0.1, 1.0)] == [
+            0.4919478053832557, 0.4781746070019348, 0.7263782750734585]
 
 
 class TestNarayana:
@@ -337,6 +339,25 @@ class TestMpRisk:
     @pytest.mark.parametrize("eta", [0.3, 0.5, 1.0, 1.7, 2.0, 3.0])
     def test_matches_adaptive_quadrature(self, lam0, eta):
         assert abs(mp_risk(lam0, eta) - spectral_average_quadrature(lam0, eta)) < 1e-6
+
+    def test_edge_grid_relative_precision(self):
+        """Against the direct spectral form at 120 digits, whose subtraction
+        cancels by at most about 50 of them on this grid."""
+        def direct(alpha, eta):
+            num = alpha + eta * (1 + eta - 2 * alpha + eta * alpha)
+            den = 2 * eta * mp.sqrt(
+                eta * eta + 2 * eta * alpha * (1 + eta) + alpha * alpha * (1 - eta) ** 2)
+            return num / den - (1 - eta) / (2 * eta)
+
+        for lam0, gamma in EDGE_POINTS[:21 * 33]:
+            eta = 1.0 / gamma
+            risk = mp_risk(lam0, eta)
+            with mp.workdps(120):
+                alpha, e = 1 / mpf(lam0), mpf(eta)
+                exact = direct(alpha, e) if e <= 1 else (
+                    1 - 1 / e + direct(alpha / e, 1 / e) / e)
+                assert risk >= 0.0
+                assert abs(risk - exact) <= 1e-10 * exact, (lam0, gamma)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
