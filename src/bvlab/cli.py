@@ -7,9 +7,11 @@ simulate    Monte Carlo the two-layer network on a (lambda0, p) grid
 mlp-sweep   train MLP ensembles across widths and decompose their test loss
 decompose   decompose a dumped prediction ensemble (JSON file)
 
-Every run is described by a flat ``key = value`` config file; command-line
-flags override config values (``--set key=value`` works for any key).
-Each run yields a column table (:data:`Table`) with the columns
+Every run is described by a flat ``key = value`` config file, overridden by
+``--set key=value`` and by the flags named after keys.  A mode's keys are the
+fields of its config class (:class:`TheoryConfig` and so on); the README
+lists each with its type, default and constraint.  Each run yields a column
+table (:data:`Table`) with the columns
 
     mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,wall_time_s
 
@@ -31,14 +33,15 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import estimators, mlp, theory, twolayer
 
-__all__ = ["ConfigError", "SweepConfig", "Table", "run_config", "emit", "main"]
+__all__ = ["ConfigError", "Config", "TheoryConfig", "SimulateConfig", "MlpSweepConfig",
+           "DecomposeConfig", "Table", "build_config", "run_config", "emit", "main"]
 
 CSV_HEADER = "mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,wall_time_s"
 _COLUMNS = tuple(CSV_HEADER.split(","))
@@ -47,80 +50,98 @@ _COLUMNS = tuple(CSV_HEADER.split(","))
 # value that every row shares (None renders as an empty cell).
 Table = dict[str, object]
 
-MODES = ("theory", "simulate", "mlp-sweep", "decompose")
-
 
 class ConfigError(ValueError):
     """A sweep configuration is missing or malformed; names the field."""
 
 
-@dataclass
-class SweepConfig:
-    """Validated description of one run; see the module docstring for keys."""
+@dataclass(frozen=True, kw_only=True)
+class Config:
+    """The keys and checks every mode's config shares: integer values other
+    than ``seed`` must reach the field's ``min`` metadata (default 1)."""
 
-    mode: str
-    lambda0_grid: Optional[list[float]] = None
-    gamma_grid: Optional[list[float]] = None
-    widths: Optional[list[int]] = None
-    d: Optional[int] = None
-    n: Optional[int] = None
-    p_grid: Optional[list[int]] = None
-    trials: Optional[int] = None
-    seed: int = 0
-    d_in: Optional[int] = None
-    classes: Optional[int] = None
-    pool_size: Optional[int] = None
-    test_size: Optional[int] = None
-    margin: Optional[float] = None
-    noise_p: float = 0.0
-    parts: Optional[int] = None
-    repeats: Optional[int] = None
-    epochs: Optional[int] = None
-    initial_lr: Optional[float] = None
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    lr_decay_factor: float = 10.0
-    lr_decay_every: Optional[int] = None
-    batch_size: int = 128
-    input_path: Optional[str] = None
-    out_path: Optional[str] = None
-    emit_format: str = "csv"
-    threads: int = 1
+    out: str = ""  # empty: stdout
+    format: str = "csv"
     timings: bool = False
 
-    def _require(self, *names: str) -> None:
-        for name in names:
-            if getattr(self, name) is None:
-                raise ConfigError(f"mode {self.mode!r} requires config field {name!r}")
+    def __post_init__(self) -> None:
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        for f in fields(self):
+            if f.type in ("int", "list[int]") and f.name != "seed":
+                value, low = getattr(self, f.name), f.metadata.get("min", 1)
+                if min(value if isinstance(value, list) else [value], default=low) < low:
+                    raise ConfigError(f"{f.name} must be >= {low}, got {value}")
 
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r} (choose from {MODES})")
-        if self.emit_format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.emit_format!r}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
-        if self.mode == "theory":
-            self._require("lambda0_grid", "gamma_grid")
-            if not all(min(grid, default=1.0) > 0
-                       for grid in (self.lambda0_grid, self.gamma_grid)):
-                raise ConfigError("lambda0 and gamma values must be positive")
-        elif self.mode == "simulate":
-            self._require("lambda0_grid", "d", "n", "p_grid", "trials")
-            if self.trials < 2:
-                raise ConfigError(f"trials must be >= 2, got {self.trials}")
-            if min(self.p_grid) < 1 or self.d < 1 or self.n < 1:
-                raise ConfigError("d, n and all p values must be positive")
-        elif self.mode == "mlp-sweep":
-            self._require(
-                "widths", "d_in", "classes", "pool_size", "test_size",
-                "margin", "parts", "repeats", "epochs", "initial_lr",
-                "lr_decay_every",
-            )
-            if not 0.0 <= self.noise_p <= 1.0:
-                raise ConfigError(f"noise_p must lie in [0, 1], got {self.noise_p}")
-        elif self.mode == "decompose":
-            self._require("input_path")
+
+@dataclass(frozen=True, kw_only=True)
+class TheoryConfig(Config):
+    """``bvlab theory``: the closed form at every (lambda0, gamma) pair."""
+
+    lambda0: list[float]
+    gamma: list[float]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if min(self.lambda0 + self.gamma, default=1.0) <= 0:
+            raise ConfigError("lambda0 and gamma values must be positive")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SimulateConfig(Config):
+    """``bvlab simulate``: Monte Carlo of the two-layer net at every (lambda0, p) pair."""
+
+    lambda0: list[float]
+    d: int
+    n: int
+    p: list[int]
+    trials: int = field(metadata={"min": 2})
+    seed: int = 0
+
+
+@dataclass(frozen=True, kw_only=True)
+class MlpSweepConfig(Config, mlp.TrainConfig):
+    """``bvlab mlp-sweep``: a trained ensemble per width on a synthetic task.
+
+    The training keys, their defaults and their checks are those of
+    :class:`bvlab.mlp.TrainConfig`, and the config goes to
+    :func:`bvlab.mlp.width_sweep` as its training config.
+    """
+
+    widths: list[int]
+    d_in: int
+    classes: int = field(metadata={"min": 2})
+    pool_size: int
+    test_size: int
+    margin: float
+    noise_p: float = 0.0
+    parts: int
+    repeats: int
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        try:
+            mlp.TrainConfig.__post_init__(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not 0.0 <= self.noise_p <= 1.0:
+            raise ConfigError(f"noise_p must lie in [0, 1], got {self.noise_p}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class DecomposeConfig(Config):
+    """``bvlab decompose``: the decomposition of a prediction dump."""
+
+    input: str  # read when the config runs, not when it is built
+
+
+_CONFIGS = {
+    "theory": TheoryConfig,
+    "simulate": SimulateConfig,
+    "mlp-sweep": MlpSweepConfig,
+    "decompose": DecomposeConfig,
+}
+MODES = tuple(_CONFIGS)
 
 
 def _parse_finite(token: str, name: str) -> float:
@@ -131,6 +152,13 @@ def _parse_finite(token: str, name: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{name}: not a finite number: {token!r}")
     return value
+
+
+def _parse_int(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: not an integer: {text!r}") from exc
 
 
 def _parse_scalar_list(text: str, name: str) -> list[float]:
@@ -176,6 +204,22 @@ def _parse_bool(text: str, name: str) -> bool:
     raise ConfigError(f"{name}: expected a boolean, got {text!r}")
 
 
+def _parse_text(text: str, name: str) -> str:
+    return text
+
+
+# A field's annotation -> the parser of its config values.  Annotations are
+# strings (``from __future__ import annotations`` in this module and in mlp).
+_PARSERS = {
+    "list[float]": _parse_scalar_list,
+    "list[int]": _parse_int_list,
+    "int": _parse_int,
+    "float": _parse_finite,
+    "bool": _parse_bool,
+    "str": _parse_text,
+}
+
+
 def parse_config_file(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; ``#`` starts a comment."""
     pairs: dict[str, str] = {}
@@ -191,63 +235,24 @@ def parse_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
-_INT_KEYS = {
-    "d", "n", "trials", "seed", "d_in", "classes", "pool_size", "test_size",
-    "parts", "repeats", "epochs", "lr_decay_every", "batch_size", "threads",
-}
-_FLOAT_KEYS = {
-    "margin", "noise_p", "initial_lr", "momentum", "weight_decay",
-    "lr_decay_factor",
-}
-_KEY_ALIASES = {
-    "lambda0": "lambda0_grid",
-    "gamma": "gamma_grid",
-    "p": "p_grid",
-    "input": "input_path",
-    "out": "out_path",
-    "format": "emit_format",
-}
-
-
-def build_config(mode: str, pairs: dict[str, str]) -> SweepConfig:
-    """Turn raw key/value strings into a validated :class:`SweepConfig`."""
-    cfg = SweepConfig(mode=mode)
-    known = {f.name for f in fields(SweepConfig)}
-    for raw_key, raw_value in pairs.items():
-        key = _KEY_ALIASES.get(raw_key, raw_key)
-        if key == "mode":
-            if raw_value != mode:
-                raise ConfigError(
-                    f"config file says mode={raw_value!r} but the {mode!r} "
-                    "subcommand was invoked"
-                )
-            continue
+def build_config(mode: str, pairs: dict[str, str]) -> Config:
+    """Turn raw key/value strings into the mode's validated config."""
+    if mode not in _CONFIGS:
+        raise ConfigError(f"unknown mode {mode!r} (choose from {MODES})")
+    config_type = _CONFIGS[mode]
+    known = {f.name: f for f in fields(config_type)}
+    values = {}
+    for key, text in pairs.items():
         if key not in known:
-            raise ConfigError(f"unknown config field {raw_key!r}")
-        if key in ("lambda0_grid", "gamma_grid"):
-            value = _parse_scalar_list(raw_value, raw_key)
-        elif key in ("p_grid", "widths"):
-            value = _parse_int_list(raw_value, raw_key)
-        elif key in _INT_KEYS:
-            try:
-                value = int(raw_value)
-            except ValueError as exc:
-                raise ConfigError(f"{raw_key}: not an integer: {raw_value!r}") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                value = float(raw_value)
-            except ValueError as exc:
-                raise ConfigError(f"{raw_key}: not a number: {raw_value!r}") from exc
-        elif key == "timings":
-            value = _parse_bool(raw_value, raw_key)
-        else:
-            value = raw_value
-        setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+            raise ConfigError(f"unknown config field {key!r} for mode {mode!r}")
+        values[key] = _PARSERS[known[key].type](text, key)
+    for f in known.values():
+        if f.name not in values and f.default is MISSING:
+            raise ConfigError(f"mode {mode!r} requires config field {f.name!r}")
+    return config_type(**values)
 
 
-def _clock(cfg: SweepConfig, started: float, rows: int = 1) -> Optional[float]:
+def _clock(cfg: Config, started: float, rows: int = 1) -> Optional[float]:
     if not cfg.timings:
         return None
     return round((time.perf_counter() - started) / rows, 9)
@@ -261,24 +266,24 @@ def _table(mode: str, names: Sequence[str] = (), rows: Sequence[tuple] = (),
     return {name: columns.get(name) for name in _COLUMNS}
 
 
-def _run_theory(cfg: SweepConfig) -> Table:
+def _run_theory(cfg: TheoryConfig) -> Table:
     started = time.perf_counter()
     bias_sq, variance, risk, *_ = theory.closed_form(
-        np.asarray(cfg.lambda0_grid)[:, None], np.asarray(cfg.gamma_grid))
+        np.asarray(cfg.lambda0)[:, None], np.asarray(cfg.gamma))
     wall_time_s = _clock(cfg, started, risk.size)
     # Each grid value is one float object, however often it repeats: emit renders it once.
     return _table(
-        "theory", lambda0=[lam0 for lam0 in cfg.lambda0_grid for _ in cfg.gamma_grid],
-        gamma=cfg.gamma_grid * len(cfg.lambda0_grid), risk=risk.ravel().tolist(),
+        "theory", lambda0=[lam0 for lam0 in cfg.lambda0 for _ in cfg.gamma],
+        gamma=cfg.gamma * len(cfg.lambda0), risk=risk.ravel().tolist(),
         bias_sq=bias_sq.ravel().tolist(), variance=variance.ravel().tolist(),
         wall_time_s=wall_time_s,
     )
 
 
-def _run_simulate(cfg: SweepConfig) -> Table:
+def _run_simulate(cfg: SimulateConfig) -> Table:
     rows = []
-    for lam0 in cfg.lambda0_grid:
-        for p in cfg.p_grid:
+    for lam0 in cfg.lambda0:
+        for p in cfg.p:
             started = time.perf_counter()
             dims = twolayer.ModelDims(d=cfg.d, n=cfg.n, p=p, lambda0=lam0)
             stats = twolayer.mc_bias_variance(dims, cfg.trials, cfg.seed)
@@ -290,7 +295,7 @@ def _run_simulate(cfg: SweepConfig) -> Table:
     )
 
 
-def _run_mlp_sweep(cfg: SweepConfig) -> Table:
+def _run_mlp_sweep(cfg: MlpSweepConfig) -> Table:
     pool = mlp.synth_dataset(
         cfg.d_in, cfg.pool_size, cfg.classes, cfg.margin, cfg.seed * 2 + 1
     )
@@ -303,22 +308,10 @@ def _run_mlp_sweep(cfg: SweepConfig) -> Table:
         )
         pool = mlp.LabeledDataset(pool.inputs, noisy, pool.provenance)
     plan = estimators.plan_splits(len(pool), cfg.parts, cfg.repeats, cfg.seed)
-    train_cfg = mlp.TrainConfig(
-        epochs=cfg.epochs,
-        initial_lr=cfg.initial_lr,
-        lr_decay_every=cfg.lr_decay_every,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        lr_decay_factor=cfg.lr_decay_factor,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-    )
     rows = []
     for width in cfg.widths:
         started = time.perf_counter()
-        (_, result), = mlp.width_sweep(
-            [width], pool, test, plan, train_cfg, max_workers=cfg.threads
-        )
+        (_, result), = mlp.width_sweep([width], pool, test, plan, cfg)
         rows.append((width, result.risk, result.bias_sq, result.variance,
                      _clock(cfg, started)))
     return _table(
@@ -350,9 +343,9 @@ def _load_dump(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     return outputs, labels, kind
 
 
-def _run_decompose(cfg: SweepConfig) -> Table:
+def _run_decompose(cfg: DecomposeConfig) -> Table:
     started = time.perf_counter()
-    outputs, labels, kind = _load_dump(cfg.input_path)
+    outputs, labels, kind = _load_dump(cfg.input)
     if kind == "real":
         result = estimators.estimate_mse_decomposition(
             estimators.PredictionMatrix(outputs), labels
@@ -368,18 +361,16 @@ def _run_decompose(cfg: SweepConfig) -> Table:
 
 
 _RUNNERS = {
-    "theory": _run_theory,
-    "simulate": _run_simulate,
-    "mlp-sweep": _run_mlp_sweep,
-    "decompose": _run_decompose,
+    TheoryConfig: _run_theory,
+    SimulateConfig: _run_simulate,
+    MlpSweepConfig: _run_mlp_sweep,
+    DecomposeConfig: _run_decompose,
 }
 
 
-def run_config(config: SweepConfig) -> Table:
-    """Dispatch a validated config to its runner; rows come back in
-    deterministic grid order."""
-    config.validate()
-    return _RUNNERS[config.mode](config)
+def run_config(config: Config) -> Table:
+    """Run a config by its type; rows come back in deterministic grid order."""
+    return _RUNNERS[type(config)](config)
 
 
 def _csv_cell(value) -> str:
@@ -461,57 +452,64 @@ def emit(table: Table, path: Optional[str], emit_format: str) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """Built once per process; argparse copies the ``--set`` list on each parse."""
+    """Built once per process; argparse copies the ``--set`` list on each parse.
+    A flag named after a config key sets it; a mode has such flags only for its keys."""
     parser = argparse.ArgumentParser(
         prog="bvlab",
         description="bias-variance decomposition laboratory",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in MODES:
+    for mode, config_type in _CONFIGS.items():
+        keys = {f.name for f in fields(config_type)}
         mode_parser = sub.add_parser(mode)
         mode_parser.add_argument("--config", help="flat key=value config file")
         mode_parser.add_argument("--out", help="output path (default: stdout)")
-        mode_parser.add_argument("--format", choices=("csv", "json"), dest="emit_format")
-        mode_parser.add_argument("--seed", type=int)
-        mode_parser.add_argument("--threads", type=int)
+        mode_parser.add_argument("--format", choices=("csv", "json"))
+        if "seed" in keys:
+            mode_parser.add_argument("--seed", type=int)
+        if "input" in keys:
+            mode_parser.add_argument("--input", help="prediction dump (JSON)")
+        if mode == "mlp-sweep":
+            mode_parser.add_argument(
+                "--threads", type=int, default=1,
+                help="accepted for old scripts; must be >= 1 and changes nothing",
+            )
         mode_parser.add_argument(
             "--timings", action="store_true", default=None,
             help="fill the wall_time_s column (breaks byte-identical reruns)",
         )
         mode_parser.add_argument(
             "--set", action="append", default=[], metavar="KEY=VALUE",
-            help="override any config field (repeatable; flags win)",
+            help="override a config key of this mode (repeatable; flags win)",
         )
-        if mode == "decompose":
-            mode_parser.add_argument("--input", dest="input_path",
-                                     help="prediction dump (JSON)")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    keys = {f.name for f in fields(_CONFIGS[args.mode])}
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"threads must be >= 1, got {args.threads}")
         pairs = parse_config_file(args.config) if args.config else {}
         for override in args.set:
             if "=" not in override:
                 raise ConfigError(f"--set expects KEY=VALUE, got {override!r}")
             key, value = override.split("=", 1)
             pairs[key.strip()] = value.strip()
-        for flag in ("out_path", "emit_format", "seed", "threads", "timings", "input_path"):
-            value = getattr(args, flag if flag != "out_path" else "out", None)
-            if value is not None:
-                pairs[_KEY_ALIASES.get(flag, flag)] = str(value)
+        pairs.update((key, str(value)) for key, value in vars(args).items()
+                     if key in keys and value is not None)
         config = build_config(args.mode, pairs)
     except (ConfigError, OSError) as exc:
         print(f"bvlab: config error: {exc}", file=sys.stderr)
         return 2
     try:
-        emit(run_config(config), config.out_path or None, config.emit_format)
+        emit(run_config(config), config.out or None, config.format)
     except ConfigError as exc:
         print(f"bvlab: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 -- downstream module errors carry context
-        print(f"bvlab: [{config.mode}] {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"bvlab: [{args.mode}] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

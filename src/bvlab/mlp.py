@@ -148,8 +148,10 @@ class TrainConfig:
             raise ValueError(
                 f"lr_decay_factor must be > 1, got {self.lr_decay_factor}"
             )
-        if self.lr_decay_every < 1 or self.batch_size < 1:
-            raise ValueError("lr_decay_every and batch_size must be >= 1")
+        if self.lr_decay_every < 1:
+            raise ValueError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def init_mlp(d_in: int, width: int, c: int, seed: int) -> MlpParams:
@@ -439,7 +441,6 @@ def width_sweep(
     test: LabeledDataset,
     plan: SplitPlan,
     cfg: TrainConfig,
-    max_workers: int = 1,
 ) -> list[tuple[int, DecompositionResult]]:
     """Train the planned ensemble at each width and decompose its test loss.
 
@@ -448,8 +449,6 @@ def width_sweep(
     and their softmax outputs on the test set are decomposed against one-hot
     test labels.  A width's members are stepped together in one stacked
     loop; each ends bitwise where :func:`train_sgd` alone would take it.
-    ``max_workers`` is accepted and must be >= 1, but it changes nothing:
-    there are no per-member jobs left to run in parallel.
 
     Returns:
         One ``(width, DecompositionResult)`` pair per width, in input order.
@@ -459,8 +458,6 @@ def width_sweep(
     """
     if not widths:
         raise ValueError("widths must be nonempty")
-    if max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     if plan.n_total != len(pool):
         raise ValueError(
             f"plan covers {plan.n_total} examples but pool has {len(pool)}"

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import math
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +49,7 @@ class TestConfigParsing:
         assert parse_config_file(str(path)) == {"lambda0": "1", "gamma": "1,2"}
 
     def test_missing_field_named(self):
-        with pytest.raises(ConfigError, match="gamma_grid"):
+        with pytest.raises(ConfigError, match="requires config field 'gamma'"):
             build_config("theory", {"lambda0": "1"})
 
     def test_unknown_field_named(self):
@@ -56,13 +58,13 @@ class TestConfigParsing:
 
     def test_range_syntax(self):
         cfg = build_config("theory", {"lambda0": "1", "gamma": "0.5:1.5:0.5"})
-        assert_allclose(cfg.gamma_grid, [0.5, 1.0, 1.5])
+        assert_allclose(cfg.gamma, [0.5, 1.0, 1.5])
 
     def test_range_stops_at_stop(self):
         cfg = build_config("theory", {"lambda0": "1", "gamma": "0.05:1:0.35"})
-        assert_allclose(cfg.gamma_grid, [0.05, 0.4, 0.75])
+        assert_allclose(cfg.gamma, [0.05, 0.4, 0.75])
         for text, count in (("0.0002:4:0.0002", 20_000), ("0.002:3:0.002", 1_500)):
-            grid = build_config("theory", {"lambda0": "1", "gamma": text}).gamma_grid
+            grid = build_config("theory", {"lambda0": "1", "gamma": text}).gamma
             assert len(grid) == count
             assert_allclose(grid[-1], float(text.split(":")[1]))
 
@@ -102,18 +104,68 @@ class TestConfigParsing:
         ("simulate", "p", "2:inf:2"),
         ("mlp-sweep", "widths", "2,inf"),
         ("mlp-sweep", "widths", "2:nan:2"),
+        ("mlp-sweep", "margin", "nan"),
+        ("mlp-sweep", "noise_p", "inf"),
+        ("mlp-sweep", "initial_lr", "nan"),
+        ("mlp-sweep", "momentum", "-inf"),
+        ("mlp-sweep", "weight_decay", "nan"),
+        ("mlp-sweep", "lr_decay_factor", "inf"),
     ])
     def test_non_finite_list_value_exits_2(self, mode, field, text, capsys):
-        pairs = {
-            "theory": {"lambda0": "1", "gamma": "1"},
-            "simulate": {"lambda0": "1", "d": "4", "n": "8", "p": "2", "trials": "2"},
-            "mlp-sweep": MLP_PAIRS,
-        }[mode]
-        overrides = {**pairs, field: text}
-        argv = [mode] + [arg for key, value in overrides.items()
-                         for arg in ("--set", f"{key}={value}")]
-        assert main(argv) == 2
+        """List values, range bounds and scalar float keys alike."""
+        assert run_with(mode, {field: text}) == 2
         assert f"{field}: not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, field, text, message", [
+        ("mlp-sweep", "test_size", "0", "test_size must be >= 1, got 0"),
+        ("mlp-sweep", "widths", "2,0", "widths must be >= 1, got [2, 0]"),
+        ("mlp-sweep", "epochs", "0", "epochs must be >= 1, got 0"),
+        ("mlp-sweep", "batch_size", "0", "batch_size must be >= 1, got 0"),
+        ("mlp-sweep", "lr_decay_every", "-1", "lr_decay_every must be >= 1, got -1"),
+        ("mlp-sweep", "lr_decay_factor", "1", "lr_decay_factor must be > 1, got 1.0"),
+        ("mlp-sweep", "initial_lr", "-0.1", "initial_lr must be >= 0, got -0.1"),
+        ("mlp-sweep", "classes", "1", "classes must be >= 2, got 1"),
+        ("simulate", "d", "0", "d must be >= 1, got 0"),
+        ("simulate", "p", "4,-2", "p must be >= 1, got [4, -2]"),
+    ])
+    def test_value_out_of_range_exits_2(self, mode, field, text, message, capsys):
+        assert run_with(mode, {field: text}) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, key", [
+        ("simulate", "widths"),
+        ("theory", "seed"),
+        ("theory", "gamma_grid"),
+        ("theory", "lambda0_grid"),
+        ("simulate", "p_grid"),
+        ("decompose", "input_path"),
+        ("theory", "out_path"),
+        ("theory", "emit_format"),
+        ("mlp-sweep", "threads"),
+    ])
+    def test_key_the_mode_does_not_take_exits_2(self, mode, key, tmp_path, capsys):
+        """Keys of other modes, the retired spellings of today's keys, and
+        ``threads``, which is only a flag."""
+        value = str(tmp_path / "x.json") if key in ("input_path", "out_path") else "2"
+        assert run_with(mode, {key: value}) == 2
+        assert f"unknown config field {key!r} for mode {mode!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("mode, flag", [
+        ("theory", "--seed"),
+        ("decompose", "--seed"),
+        ("theory", "--threads"),
+        ("simulate", "--threads"),
+    ])
+    def test_flag_the_mode_does_not_take_exits_2(self, mode, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_with(mode, {}, flag, "1")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_threads_flag_below_one_exits_2(self, capsys):
+        assert run_with("mlp-sweep", {}, "--threads", "0") == 2
+        assert "threads must be >= 1, got 0" in capsys.readouterr().err
 
     def test_overflowing_range_span_exits_2(self, capsys):
         assert main(["theory", "--set", "lambda0=1", "--set", "gamma=-1e308:1e308:1"]) == 2
@@ -122,6 +174,18 @@ class TestConfigParsing:
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
             build_config("theory", {"lambda0": "1", "gamma": "1", "format": "xml"})
+
+
+def run_with(mode, changes, *flags):
+    """``main`` on a small valid config of ``mode`` with ``changes`` set."""
+    pairs = {
+        "theory": {"lambda0": "1", "gamma": "1"},
+        "simulate": {"lambda0": "1", "d": "4", "n": "8", "p": "2", "trials": "2"},
+        "mlp-sweep": MLP_PAIRS,
+        "decompose": {"input": "missing-dump.json"},
+    }[mode]
+    return main([mode, *(arg for key, value in {**pairs, **changes}.items()
+                         for arg in ("--set", f"{key}={value}")), *flags])
 
 
 class TestRunConfig:
@@ -269,6 +333,12 @@ class TestMainEntry:
         assert main(args) == 0
         assert out.read_bytes() == first
 
+    def test_threads_flag_changes_nothing(self, tmp_path):
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert run_with("mlp-sweep", {}, "--out", str(one)) == 0
+        assert run_with("mlp-sweep", {}, "--threads", "2", "--out", str(two)) == 0
+        assert one.read_bytes() == two.read_bytes()
+
     def test_mlp_sweep_output_pinned(self, tmp_path):
         """Exact risk/bias/variance floats of a small sweep.
 
@@ -331,7 +401,7 @@ class TestMainEntry:
         rows = json.loads(printed)
         cfg = build_config("theory", {"lambda0": lambda0, "gamma": gamma})
         assert [(row["lambda0"], row["gamma"]) for row in rows] == [
-            (lam0, g) for lam0 in cfg.lambda0_grid for g in cfg.gamma_grid]
+            (lam0, g) for lam0 in cfg.lambda0 for g in cfg.gamma]
         for row in rows:
             assert list(row) == CSV_HEADER.split(",")
             point = theory_point(row["lambda0"], row["gamma"])
@@ -380,7 +450,7 @@ class TestMainEntry:
                      "--format", "json"]) == 0
         assert [row["gamma"] for row in json.loads(capsys.readouterr().out)] == [1.0, 2.0]
         assert main(["theory", "--set", "lambda0=2", "--format", "json"]) == 2
-        assert "gamma_grid" in capsys.readouterr().err
+        assert "requires config field 'gamma'" in capsys.readouterr().err
         assert main(["theory", "--set", "lambda0=3", "--set", "gamma=4",
                      "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
@@ -569,3 +639,21 @@ class TestDecompose:
         }
         dump.write_text(json.dumps(payload))
         assert main(["decompose", "--input", str(dump)]) == 2
+
+
+def test_readme_key_table_matches_configs():
+    """The README's key table lists exactly each mode's config fields, with
+    their annotations and defaults, so the docs and the parser cannot drift."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Config keys"):readme.index("### Prediction dump format")]
+    documented = {mode: {} for mode in cli.MODES}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, modes, kind, default, _ = (cell.strip() for cell in line.split("|")[1:-1])
+            for mode in cli.MODES if modes == "all" else modes.split(", "):
+                documented[mode][key.strip("`")] = (kind.strip("`"), default.strip("`"))
+    for mode, config_type in cli._CONFIGS.items():
+        assert documented[mode] == {
+            f.name: (f.type, "required" if f.default is MISSING else repr(f.default))
+            for f in fields(config_type)
+        }, mode

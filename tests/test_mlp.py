@@ -279,15 +279,6 @@ class TestWidthSweep:
             assert record.risk >= 0.0
             assert_allclose(record.risk, record.bias_sq + record.variance, rtol=1e-12)
 
-    def test_thread_count_does_not_change_results(self):
-        pool, test, plan, cfg = tiny_sweep_setup(repeats=2)
-        serial = width_sweep([2, 4], pool, test, plan, cfg, max_workers=1)
-        threaded = width_sweep([2, 4], pool, test, plan, cfg, max_workers=4)
-        for (_, a), (_, b) in zip(serial, threaded):
-            assert a.risk == b.risk
-            assert a.bias_sq == b.bias_sq
-            assert a.variance == b.variance
-
     def test_pool_size_mismatch_rejected(self):
         pool, test, plan, cfg = tiny_sweep_setup()
         short_pool = LabeledDataset(pool.inputs[:50], pool.labels[:50])
@@ -332,8 +323,3 @@ class TestWidthSweep:
                                       replace(cfg, seed=seed))
                     expected = predict_probabilities(alone, test.inputs)
                     assert np.array_equal(outputs[:, i, j, :], expected)
-
-    def test_zero_workers_rejected(self):
-        pool, test, plan, cfg = tiny_sweep_setup()
-        with pytest.raises(ValueError, match="max_workers"):
-            width_sweep([2], pool, test, plan, cfg, max_workers=0)
