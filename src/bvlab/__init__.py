@@ -29,7 +29,7 @@ from .mlp import (
 )
 from .seeding import derive_seed, spawn_rng
 from .theory import (
-    TheoryPoint,
+    BiasVarianceRisk,
     bias_derivative,
     mp_risk,
     narayana,
@@ -40,7 +40,6 @@ from .theory import (
     variance_peak,
 )
 from .twolayer import (
-    BiasVarianceRisk,
     LinearNetSample,
     ModelDims,
     m_matrix,

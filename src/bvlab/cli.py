@@ -58,7 +58,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True, kw_only=True)
 class Config:
     """The keys and checks every mode's config shares: integer values other
-    than ``seed`` must reach the field's ``min`` metadata (default 1)."""
+    than ``seed`` must reach the field's ``min`` metadata (default 1), and
+    so must float values of a field that has one."""
 
     out: str = ""  # empty: stdout
     format: str = "csv"
@@ -68,7 +69,8 @@ class Config:
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         for f in fields(self):
-            if f.type in ("int", "list[int]") and f.name != "seed":
+            integer = f.type in ("int", "list[int]") and f.name != "seed"
+            if integer or "min" in f.metadata:
                 value, low = getattr(self, f.name), f.metadata.get("min", 1)
                 if min(value if isinstance(value, list) else [value], default=low) < low:
                     raise ConfigError(f"{f.name} must be >= {low}, got {value}")
@@ -91,7 +93,7 @@ class TheoryConfig(Config):
 class SimulateConfig(Config):
     """``bvlab simulate``: Monte Carlo of the two-layer net at every (lambda0, p) pair."""
 
-    lambda0: list[float]
+    lambda0: list[float] = field(metadata={"min": 0})
     d: int
     n: int
     p: list[int]
@@ -115,7 +117,7 @@ class MlpSweepConfig(Config, mlp.TrainConfig):
     test_size: int
     margin: float
     noise_p: float = 0.0
-    parts: int
+    parts: int = field(metadata={"min": 2})
     repeats: int
 
     def __post_init__(self) -> None:
@@ -126,6 +128,8 @@ class MlpSweepConfig(Config, mlp.TrainConfig):
             raise ConfigError(str(exc)) from exc
         if not 0.0 <= self.noise_p <= 1.0:
             raise ConfigError(f"noise_p must lie in [0, 1], got {self.noise_p}")
+        if self.parts > self.pool_size:
+            raise ConfigError(f"parts must be <= pool_size={self.pool_size}, got {self.parts}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -302,11 +306,8 @@ def _run_mlp_sweep(cfg: MlpSweepConfig) -> Table:
     test = mlp.synth_dataset(
         cfg.d_in, cfg.test_size, cfg.classes, cfg.margin, cfg.seed * 2 + 2
     )
-    if cfg.noise_p > 0.0:
-        noisy = mlp.inject_label_noise(
-            pool.labels, cfg.noise_p, cfg.classes, cfg.seed * 2 + 3
-        )
-        pool = mlp.LabeledDataset(pool.inputs, noisy, pool.provenance)
+    noisy = mlp.inject_label_noise(pool.labels, cfg.noise_p, cfg.classes, cfg.seed * 2 + 3)
+    pool = mlp.LabeledDataset(pool.inputs, noisy, pool.provenance)
     plan = estimators.plan_splits(len(pool), cfg.parts, cfg.repeats, cfg.seed)
     rows = []
     for width in cfg.widths:

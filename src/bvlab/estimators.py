@@ -70,7 +70,6 @@ class SplitPlan:
     n_total: int
     parts_per_repeat: int
     repeats: int
-    master_seed: int
     assignment: np.ndarray
 
     @property
@@ -80,9 +79,6 @@ class SplitPlan:
     @property
     def model_count(self) -> int:
         return self.repeats * self.parts_per_repeat
-
-    def part(self, repeat: int, index: int) -> np.ndarray:
-        return self.assignment[repeat, index]
 
 
 def plan_splits(n_total: int, parts: int, repeats: int, master_seed: int) -> SplitPlan:
@@ -112,7 +108,6 @@ def plan_splits(n_total: int, parts: int, repeats: int, master_seed: int) -> Spl
         n_total=n_total,
         parts_per_repeat=parts,
         repeats=repeats,
-        master_seed=master_seed,
         assignment=assignment,
     )
 
@@ -188,7 +183,6 @@ class DecompositionResult:
     risk: float
     bias_sq: float
     variance: float
-    loss_kind: str
     per_point: Optional[np.ndarray] = field(default=None, repr=False)
     bias_sq_negative: bool = False
 
@@ -249,7 +243,6 @@ def estimate_mse_decomposition(
         risk=risk,
         bias_sq=bias_sq,
         variance=variance,
-        loss_kind="squared",
         per_point=per_point,
         bias_sq_negative=bias_sq < 0.0,
     )
@@ -338,7 +331,6 @@ def estimate_kl_decomposition(
         risk=float(risk_pt.mean()),
         bias_sq=float(bias_pt.mean()),
         variance=float(var_pt.mean()),
-        loss_kind="kl",
         per_point=per_point,
         bias_sq_negative=False,
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,9 +88,6 @@ class MlpParams:
 
     def arrays(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(*[a.copy() for a in self.arrays()])
 
 
 @dataclass
@@ -197,32 +194,35 @@ def _layer_views(flat: np.ndarray, d_in: int, width: int, c: int) -> list[np.nda
     return views
 
 
+def _hidden_buffers(shape: tuple[int, int, int]) -> tuple[np.ndarray, ...]:
+    """Work buffers of :func:`_stacked_loss_and_gradients` for (M, batch, width)."""
+    return (*(np.empty(shape) for _ in range(3)), np.empty(shape, dtype=bool))
+
+
 def _stacked_loss_and_gradients(
     layers: list[np.ndarray],
     inputs: np.ndarray,
     onehot: np.ndarray,
     grads: list[np.ndarray],
-    work: Optional[tuple[np.ndarray, ...]] = None,
+    work: tuple[np.ndarray, ...],
 ) -> float:
     """Forward and backward pass of M members on their own (M, batch, .) batches.
 
     Writes each member's gradients into the arrays ``grads`` and returns the
-    squared residual summed over all members and examples.  ``work``, if
-    given, holds (M, >= batch, width) buffers for the pre-activation,
-    activation, hidden gradient and ReLU mask (bool); otherwise these are
-    allocated.  Every product is one GEMM per member and every elementwise
-    expression keeps the order of the one-member formulas, so a member's
-    gradients do not depend on M.
+    squared residual summed over all members and examples.  ``work`` holds
+    (M, >= batch, width) buffers for the pre-activation, activation, hidden
+    gradient and ReLU mask (bool), made by :func:`_hidden_buffers`.  Every
+    product is one GEMM per member and every elementwise expression keeps the
+    order of the one-member formulas, so a member's gradients do not depend
+    on M.
     """
     w1, b1, w2, b2 = layers
     g_w1, g_b1, g_w2, g_b2 = grads
     batch = inputs.shape[1]
-    pre_hidden, hidden, grad_hidden, active = (
-        (None,) * 4 if work is None else (buf[:, :batch] for buf in work)
-    )
-    pre_hidden = np.matmul(inputs, w1.transpose(0, 2, 1), out=pre_hidden)
+    pre_hidden, hidden, grad_hidden, active = (buf[:, :batch] for buf in work)
+    np.matmul(inputs, w1.transpose(0, 2, 1), out=pre_hidden)
     pre_hidden += b1[:, None, :]
-    hidden = np.maximum(pre_hidden, 0.0, out=hidden)
+    np.maximum(pre_hidden, 0.0, out=hidden)
     probs = softmax(hidden @ w2.transpose(0, 2, 1) + b2[:, None, :])
     residual = probs - onehot
     squared = float(np.vdot(residual, residual))
@@ -230,7 +230,7 @@ def _stacked_loss_and_gradients(
     np.matmul(grad_z.transpose(0, 2, 1), hidden, out=g_w2)
     g_w2 /= batch
     np.divide(grad_z.sum(axis=1), batch, out=g_b2)
-    grad_hidden = np.matmul(grad_z, w2, out=grad_hidden)
+    np.matmul(grad_z, w2, out=grad_hidden)
     grad_hidden *= np.greater(pre_hidden, 0.0, out=active)
     np.matmul(grad_hidden.transpose(0, 2, 1), inputs, out=g_w1)
     g_w1 /= batch
@@ -248,8 +248,9 @@ def loss_and_gradients(
     dL/dz = 2 p * (r - <r, p>) with p the softmax output and r = p - y.
     """
     grads = [np.empty((1, *a.shape)) for a in params.arrays()]
+    work = _hidden_buffers((1, len(inputs), params.width))
     squared = _stacked_loss_and_gradients(
-        [a[None] for a in params.arrays()], inputs[None], onehot[None], grads
+        [a[None] for a in params.arrays()], inputs[None], onehot[None], grads, work
     )
     return squared / len(inputs), MlpParams(*[g[0] for g in grads])
 
@@ -286,8 +287,7 @@ def _train_stacked(
     grad_layers = _layer_views(grads, *shape)
     # Allocating the hidden-layer arrays at every step makes the allocator
     # hand their pages back and fault them in again each time.
-    hidden_shape = (len(members), min(cfg.batch_size, n), shape[1])
-    work = (*(np.empty(hidden_shape) for _ in range(3)), np.empty(hidden_shape, dtype=bool))
+    work = _hidden_buffers((len(members), min(cfg.batch_size, n), shape[1]))
     order_rngs = [spawn_rng(seed, 0x0D0E) for seed in seeds]
     # Each epoch gathers every member's shuffled data once, as row indices
     # into the members' examples laid end to end; batches are slices of it.

@@ -16,13 +16,12 @@ All functions are pure; concurrent use is unrestricted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "TheoryPoint",
+    "BiasVarianceRisk",
     "PeakSearchError",
     "closed_form",
     "theory_point",
@@ -41,26 +40,16 @@ class PeakSearchError(RuntimeError):
     """The variance curve did not present a single interior maximum."""
 
 
-@dataclass(frozen=True)
-class TheoryPoint:
-    """Limiting bias/variance/risk at one (regularization, width-ratio) point.
+class BiasVarianceRisk(NamedTuple):
+    """Squared bias, variance and risk, as a limit or a Monte Carlo estimate."""
 
-    ``phi1``, ``phi2``, ``phi3`` are the three auxiliary functions evaluated
-    at ``(lambda0, gamma)``; ``risk == bias_sq + variance`` exactly.
-    """
-
-    lambda0: float
-    gamma: float
     bias_sq: float
     variance: float
     risk: float
-    phi1: float
-    phi2: float
-    phi3: float
 
 
 def closed_form(lambda0: float | np.ndarray, gamma: float | np.ndarray) -> tuple:
-    """``(bias_sq, variance, risk, phi1, phi2, phi3)`` at ``(lambda0, gamma)``.
+    """``(bias_sq, variance, risk, phi2, phi3)`` at ``(lambda0, gamma)``.
 
     Takes Python floats or broadcastable float arrays alike and evaluates
     the same operations on both, so a grid evaluated as arrays agrees with
@@ -83,12 +72,10 @@ def closed_form(lambda0: float | np.ndarray, gamma: float | np.ndarray) -> tuple
     and arrays; both candidates are finite on the domain, so the product
     with 0 is exactly 0.
     """
-    gm1 = gamma - 1.0
-    u = gm1 + lambda0
+    u = (gamma - 1.0) + lambda0
     v = gamma + lambda0
     q = u * v + 2.0 * lambda0
     c = 4.0 * lambda0
-    phi1 = lambda0 * (gamma + 1.0) + gm1 * gm1
     # np.sqrt is correctly rounded on both paths (``** 0.5`` is not on
     # floats).  For a float it returns a NumPy scalar, on which arithmetic
     # costs several times that on a Python float and gives the same bits.
@@ -102,17 +89,19 @@ def closed_form(lambda0: float | np.ndarray, gamma: float | np.ndarray) -> tuple
     h = 0.25 * phi3
     bias_sq = h * phi3
     variance = h * d / phi2
-    return bias_sq, variance, bias_sq + variance, phi1, phi2, phi3
+    return bias_sq, variance, bias_sq + variance, phi2, phi3
 
 
-def theory_point(lambda0: float, gamma: float) -> TheoryPoint:
-    """Evaluate the limiting decomposition at ``(lambda0, gamma)``.
+def theory_point(lambda0: float, gamma: float) -> BiasVarianceRisk:
+    """The limiting decomposition at ``(lambda0, gamma)``.
 
     The squared bias is ``phi3^2 / 4`` and the variance is
     ``phi3 * D / (4 * phi2)`` with ``D = 4*lambda0*gamma / (phi2*v + q)``,
     ``v = gamma + lambda0``, ``q = (gamma + lambda0 - 1)*v + 2*lambda0``
     (see :func:`closed_form`); the risk is their sum, equal to
-    ``phi1 / (2 * phi2) + (1 - gamma) / 2`` on both sides of ``gamma = 1``.
+    ``(lambda0*(gamma + 1) + (gamma - 1)^2) / (2 * phi2) + (1 - gamma) / 2``
+    on both sides of ``gamma = 1``.  The type is that of the Monte Carlo
+    estimate :func:`bvlab.twolayer.mc_bias_variance`.
 
     Args:
         lambda0: ridge strength before the ``n/d`` rescaling; must be > 0.
@@ -126,7 +115,7 @@ def theory_point(lambda0: float, gamma: float) -> TheoryPoint:
         raise ValueError(f"lambda0 must be positive, got {lambda0}")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return TheoryPoint(lambda0, gamma, *closed_form(lambda0, gamma))
+    return BiasVarianceRisk(*closed_form(lambda0, gamma)[:3])
 
 
 def bias_derivative(lambda0: float, gamma: float) -> float:
@@ -169,14 +158,15 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0     # 0.618...
 _SCAN_POINTS = 1000
 _SCAN_GRID = tuple(2.0 * (i + 1) / _SCAN_POINTS for i in range(_SCAN_POINTS))
 _DIFF_NOISE = 1e-13
+_PEAK_TOL = 1e-6
 
 
-def variance_peak(lambda0: float, tol: float = 1e-6) -> float:
+def variance_peak(lambda0: float) -> float:
     """Width ratio at which the limiting variance attains its maximum.
 
     A coarse scan over ``(0, 2]``, one :func:`closed_form` array call,
     brackets the maximum (and verifies that the scanned curve rises and falls
-    exactly once), then golden-section search refines the bracket to ``tol``.
+    exactly once), then golden-section search refines the bracket to 1e-6.
 
     Raises:
         PeakSearchError: if the scan does not show a single interior
@@ -197,7 +187,7 @@ def variance_peak(lambda0: float, tol: float = 1e-6) -> float:
     top = int(np.argmax(values))
     lo = grid[top - 1] if top > 0 else grid[0] / 2.0
     hi = grid[top + 1] if top + 1 < len(grid) else grid[-1]
-    while hi - lo > tol:
+    while hi - lo > _PEAK_TOL:
         m1 = hi - (hi - lo) * _INV_GOLDEN
         m2 = lo + (hi - lo) * _INV_GOLDEN
         if theory_point(lambda0, m1).variance < theory_point(lambda0, m2).variance:

@@ -36,8 +36,8 @@ LDL^T factorization of the tridiagonal ``B B^T`` in O(m) scalar steps.
 
 Linear systems are solved with NumPy's LAPACK after a Cholesky factorization
 confirms the regularized Gram matrix is positive definite; nothing is
-explicitly inverted, and every BLAS/LAPACK call runs in NumPy's one runtime,
-on one thread during a Monte Carlo run (``mc_risk_mtilde`` makes none).
+explicitly inverted, and every BLAS/LAPACK call runs in NumPy's one runtime
+(``mc_risk_mtilde`` makes none).
 A Monte Carlo trial's system is min(p, d, n) x min(p, d, n); ``m_matrix``
 keeps the p x p system on ``X X^T`` as the direct reference.
 Trials own disjoint RNG streams derived from the master seed and are reduced
@@ -50,12 +50,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from ._blas import single_blas_thread
 from .seeding import spawn_rng
+from .theory import BiasVarianceRisk
 
 __all__ = [
     "ModelDims",
@@ -88,8 +87,7 @@ class ModelDims:
     """Problem dimensions (input d, samples n, width p) plus ridge strength.
 
     ``lam`` is the ridge actually applied to the fit, ``(n/d) * lambda0``;
-    ``gamma = p/d`` and ``eta = d/p`` are the width ratios used by the
-    closed-form limits.
+    ``gamma = p/d`` is the width ratio of the closed-form limits.
     """
 
     d: int
@@ -108,10 +106,6 @@ class ModelDims:
         return self.p / self.d
 
     @property
-    def eta(self) -> float:
-        return self.d / self.p
-
-    @property
     def lam(self) -> float:
         return (self.n / self.d) * self.lambda0
 
@@ -124,12 +118,6 @@ class LinearNetSample:
     X: np.ndarray
     theta: np.ndarray
     y: np.ndarray
-
-
-class BiasVarianceRisk(NamedTuple):
-    bias_sq: float
-    variance: float
-    risk: float
 
 
 def sample_instance(dims: ModelDims, seed: int) -> LinearNetSample:
@@ -283,14 +271,13 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     m_sum = np.zeros((d, d))
     sq_sum = 0.0
     trace_sum = 0.0
-    with single_blas_thread():
-        for t in range(trials):
-            rng = spawn_rng(master_seed, t)
-            W = rng.standard_normal((dims.p, d)) * scale
-            M = _m_from_factor(W, _wishart_factor(rng, d, dims.n), lam)
-            m_sum += M
-            sq_sum += float(np.vdot(M, M))
-            trace_sum += float(np.trace(M))
+    for t in range(trials):
+        rng = spawn_rng(master_seed, t)
+        W = rng.standard_normal((dims.p, d)) * scale
+        M = _m_from_factor(W, _wishart_factor(rng, d, dims.n), lam)
+        m_sum += M
+        sq_sum += float(np.vdot(M, M))
+        trace_sum += float(np.trace(M))
     m_mean = m_sum / trials
     sq_mean = sq_sum / trials
     trace_mean = trace_sum / trials

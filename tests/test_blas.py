@@ -2,10 +2,8 @@ import pytest
 
 import bvlab._blas as blas
 import bvlab.mlp as mlp_module
-import bvlab.twolayer as twolayer
 from bvlab.estimators import plan_splits
 from bvlab.mlp import TrainConfig, synth_dataset, width_sweep
-from bvlab.twolayer import ModelDims, mc_bias_variance
 
 CONTROLS = blas._thread_controls()
 needs_openblas = pytest.mark.skipif(
@@ -60,19 +58,6 @@ class TestSingleBlasThread:
         spy_threads(monkeypatch, mlp_module, "_stacked_loss_and_gradients", fail=True)
         with pytest.raises(RuntimeError, match="injected"):
             width_sweep([3], *sweep_inputs())
-        assert CONTROLS[0]() == two_threads
-
-    def test_mc_bias_variance_runs_on_one_thread_and_restores(self, monkeypatch,
-                                                              two_threads):
-        seen = spy_threads(monkeypatch, twolayer, "_m_from_factor")
-        mc_bias_variance(ModelDims(d=6, n=30, p=4, lambda0=1.0), 3, 0)
-        assert seen == [1, 1, 1]
-        assert CONTROLS[0]() == two_threads
-
-    def test_restored_when_a_trial_raises(self, monkeypatch, two_threads):
-        spy_threads(monkeypatch, twolayer, "_m_from_factor", fail=True)
-        with pytest.raises(RuntimeError, match="injected"):
-            mc_bias_variance(ModelDims(d=6, n=30, p=4, lambda0=1.0), 3, 0)
         assert CONTROLS[0]() == two_threads
 
     def test_missing_symbol_is_a_no_op(self, monkeypatch, two_threads):

@@ -125,8 +125,11 @@ class TestConfigParsing:
         ("mlp-sweep", "lr_decay_factor", "1", "lr_decay_factor must be > 1, got 1.0"),
         ("mlp-sweep", "initial_lr", "-0.1", "initial_lr must be >= 0, got -0.1"),
         ("mlp-sweep", "classes", "1", "classes must be >= 2, got 1"),
+        ("mlp-sweep", "parts", "1", "parts must be >= 2, got 1"),
+        ("mlp-sweep", "parts", "100", "parts must be <= pool_size=60, got 100"),
         ("simulate", "d", "0", "d must be >= 1, got 0"),
         ("simulate", "p", "4,-2", "p must be >= 1, got [4, -2]"),
+        ("simulate", "lambda0", "1,-1", "lambda0 must be >= 0, got [1.0, -1.0]"),
     ])
     def test_value_out_of_range_exits_2(self, mode, field, text, message, capsys):
         assert run_with(mode, {field: text}) == 2
@@ -472,17 +475,24 @@ class TestMainEntry:
         assert main(args) == 1
 
 
+def sweep_args(noise_p):
+    return [arg for key, value in {**MLP_PAIRS, "widths": "2,8", "noise_p": noise_p}.items()
+            for arg in ("--set", f"{key}={value}")]
+
+
+# Run name -> arguments; the mode is the name up to any ":".
 GOLDEN_RUNS = {
     "theory": ["--set", "lambda0=1e-12,1", "--set", "gamma=0.5,1e8"],
     "simulate": ["--set", "lambda0=0.1,1", "--set", "d=4", "--set", "n=16",
                  "--set", "p=2,6", "--set", "trials=3", "--set", "seed=7"],
-    "mlp-sweep": [arg for key, value in {**MLP_PAIRS, "widths": "2,8", "noise_p": "0.1"}.items()
-                  for arg in ("--set", f"{key}={value}")],
+    "mlp-sweep": sweep_args("0.1"),
+    "mlp-sweep:noise_p=0": sweep_args("0"),
     "decompose": [],  # the dump is written by the test
 }
 
 # Output bytes of GOLDEN_RUNS, recorded with the row-by-row emitter that the
-# column-wise one replaced.
+# column-wise one replaced; the noise_p = 0 sweep was recorded when its
+# pool still skipped label-noise injection.
 GOLDEN = {
     ("theory", "csv"): (
         'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
@@ -553,6 +563,22 @@ GOLDEN = {
         '"risk": 0.5114950976333966, "bias_sq": 0.4519373570851306, '
         '"variance": 0.05955774054826604, "wall_time_s": null}]\n'
     ),
+    ("mlp-sweep:noise_p=0", "csv"): (
+        'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
+        'wall_time_s\n'
+        'mlp-sweep,,,2,4,30,,0,2,100,0.651802234,0.61605948,0.0357427535,\n'
+        'mlp-sweep,,,8,4,30,,0,2,100,0.488453656,0.439270534,0.0491831216,\n'
+    ),
+    ("mlp-sweep:noise_p=0", "json"): (
+        '[{"mode": "mlp-sweep", "lambda0": null, "gamma": null, "width": 2, '
+        '"d": 4, "n": 30, "p": null, "noise_p": 0.0, "trials": 2, "seed": 100, '
+        '"risk": 0.6518022338150818, "bias_sq": 0.6160594802787309, '
+        '"variance": 0.035742753536350966, "wall_time_s": null}, '
+        '{"mode": "mlp-sweep", "lambda0": null, "gamma": null, "width": 8, "d": 4, '
+        '"n": 30, "p": null, "noise_p": 0.0, "trials": 2, "seed": 100, '
+        '"risk": 0.4884536558186079, "bias_sq": 0.4392705342326131, '
+        '"variance": 0.049183121585994825, "wall_time_s": null}]\n'
+    ),
     ("decompose", "csv"): (
         'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
         'wall_time_s\n'
@@ -567,19 +593,20 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("mode, fmt", list(GOLDEN))
-def test_output_bytes_pinned(mode, fmt, tmp_path):
+@pytest.mark.parametrize("run, fmt", list(GOLDEN))
+def test_output_bytes_pinned(run, fmt, tmp_path):
     """Small runs of every mode, byte for byte.  The mlp-sweep floats were
     recorded with NumPy 2.4.6 and its bundled OpenBLAS 0.3.31 on x86-64;
     another BLAS build may round them differently."""
-    args = list(GOLDEN_RUNS[mode])
+    mode = run.split(":")[0]
+    args = list(GOLDEN_RUNS[run])
     if mode == "decompose":
         outputs = (np.arange(24).reshape(2, 2, 3, 2) % 5) / 8.0 - 0.25
         write_dump(tmp_path / "dump.json", outputs, [[1.0, 0.0], [0.0, 1.0]], "real")
         args += ["--input", str(tmp_path / "dump.json")]
     out = tmp_path / f"out.{fmt}"
     assert main([mode, *args, "--format", fmt, "--out", str(out)]) == 0
-    assert out.read_bytes() == GOLDEN[mode, fmt].encode()
+    assert out.read_bytes() == GOLDEN[run, fmt].encode()
 
 
 def write_dump(path, outputs, labels, kind):

@@ -263,7 +263,6 @@ class TestWidthSweep:
             n_total=plan.n_total,
             parts_per_repeat=2,
             repeats=1,
-            master_seed=plan.master_seed,
             assignment=np.tile(plan.assignment[0, 0], (1, 2, 1)),
         )
         (width, result), = width_sweep([4], pool, test, degenerate, cfg)
@@ -317,8 +316,8 @@ class TestWidthSweep:
             for i in range(plan.repeats):
                 for j in range(plan.parts_per_repeat):
                     seed = mlp_module.derive_seed(cfg.seed, width, i, j)
-                    part = LabeledDataset(pool.inputs[plan.part(i, j)],
-                                          pool.labels[plan.part(i, j)])
+                    part = LabeledDataset(pool.inputs[plan.assignment[i, j]],
+                                          pool.labels[plan.assignment[i, j]])
                     alone = train_sgd(init_mlp(4, width, 3, seed), part,
                                       replace(cfg, seed=seed))
                     expected = predict_probabilities(alone, test.inputs)
