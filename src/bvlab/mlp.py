@@ -20,6 +20,7 @@ weights are bitwise those it would reach if trained alone by
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -137,6 +138,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("initial_lr", "lr_decay_factor", "momentum", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.initial_lr < 0.0:

@@ -40,6 +40,15 @@ class PeakSearchError(RuntimeError):
     """The variance curve did not present a single interior maximum."""
 
 
+def _require_positive(*, zero_ok: bool = False, **values: float) -> None:
+    """Raise a ValueError naming the first of ``values`` that is not finite
+    and positive (finite and nonnegative when ``zero_ok``)."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and (value > 0.0 or zero_ok and value == 0.0)):
+            rule = "nonnegative" if zero_ok else "positive"
+            raise ValueError(f"{name} must be finite and {rule}, got {value}")
+
+
 class BiasVarianceRisk(NamedTuple):
     """Squared bias, variance and risk, as a limit or a Monte Carlo estimate."""
 
@@ -109,12 +118,9 @@ def theory_point(lambda0: float, gamma: float) -> BiasVarianceRisk:
             as ``gamma -> 0+`` are bias 1, variance 0.
 
     Raises:
-        ValueError: if ``lambda0 <= 0`` or ``gamma <= 0``.
+        ValueError: if either argument is not finite and positive.
     """
-    if lambda0 <= 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _require_positive(lambda0=lambda0, gamma=gamma)
     return BiasVarianceRisk(*closed_form(lambda0, gamma)[:3])
 
 
@@ -126,10 +132,8 @@ def bias_derivative(lambda0: float, gamma: float) -> float:
     ``lambda0 = 0`` is allowed here (the expression stays finite); at
     ``(0, 1)``, where it is 0/0, the limit 0 is returned.
     """
-    if lambda0 < 0.0:
-        raise ValueError(f"lambda0 must be nonnegative, got {lambda0}")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _require_positive(lambda0=lambda0, zero_ok=True)
+    _require_positive(gamma=gamma)
     if lambda0 == 0.0 and gamma == 1.0:
         # phi2 = phi3 = 0 only here, and phi3^2 / phi2 <= 4 phi2 -> 0.
         return 0.0
@@ -145,10 +149,7 @@ def small_lambda_expansion(lambda0: float, gamma: float) -> tuple[float, float]:
     are O(lambda0^2), returned as 0.  The quadratic error constant degrades
     near ``gamma = 1`` (see tests for the calibrated region).
     """
-    if lambda0 <= 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _require_positive(lambda0=lambda0, gamma=gamma)
     if gamma > 1.0:
         return 0.0, 0.0
     return gamma * (1.0 - gamma) - 2.0 * gamma * lambda0, 1.0 - gamma
@@ -172,8 +173,7 @@ def variance_peak(lambda0: float) -> float:
         PeakSearchError: if the scan does not show a single interior
             maximum, which would contradict the unimodal variance shape.
     """
-    if lambda0 <= 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
+    _require_positive(lambda0=lambda0)
     grid = _SCAN_GRID
     _, values, *_ = closed_form(lambda0, np.asarray(grid))
     diffs = np.diff(values)
@@ -231,8 +231,7 @@ def narayana_series(lambda0: float, eta: float, m_max: int) -> NarayanaSeriesSum
     Args:
         m_max: truncation order; must be >= 1.
     """
-    if lambda0 <= 0.0 or eta <= 0.0:
-        raise ValueError("lambda0 and eta must be positive")
+    _require_positive(lambda0=lambda0, eta=eta)
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     z = -1.0 / lambda0
@@ -259,8 +258,7 @@ def narayana_series_closed(lambda0: float, eta: float) -> float:
     the cancellation of the direct form for large ``lambda0*eta``.  Satisfies
     ``(1 + S)^2 == theory_point(lambda0, 1/eta).bias_sq``.
     """
-    if lambda0 <= 0.0 or eta <= 0.0:
-        raise ValueError("lambda0 and eta must be positive")
+    _require_positive(lambda0=lambda0, eta=eta)
     le = lambda0 * eta
     disc = le * le + 2.0 * le * (1.0 + eta) + (1.0 - eta) ** 2
     return -2.0 / (le + 1.0 + eta + math.sqrt(disc))
@@ -294,10 +292,7 @@ def mp_risk(lambda0: float, eta: float) -> float:
     ``eta = 1`` and satisfy
     ``mp_risk(lambda0, eta) == theory_point(lambda0, 1/eta).risk``.
     """
-    if lambda0 <= 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _require_positive(lambda0=lambda0, eta=eta)
     alpha = 1.0 / lambda0
     if eta <= 1.0:
         return _spectral_mean_inverse_square(alpha, eta)

@@ -15,6 +15,11 @@ reduce to Frobenius-norm statistics of M:
     variance = E ||M - E M||^2 / d
     risk     = E ||M - I||^2 / d.
 
+For any orthogonal O, ``W -> W O^T`` and ``X -> O X`` leave both laws
+unchanged and send M to ``O M O^T``, so ``E M = c I`` with ``c = E tr(M) / d``.
+Hence ``bias_sq = (1 - E tr(M) / d)^2`` and each draw needs only the two
+scalars ``tr(M)`` and ``||M||^2``.
+
 M depends on the data only through the second moment ``S = X X^T``, which
 follows the Wishart law ``W_d(n, I/d)``.  Each Monte Carlo trial therefore
 draws W and then a factor L of S with ``S = L L^T``: the lower-trapezoidal
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import spawn_rng
-from .theory import BiasVarianceRisk
+from .theory import BiasVarianceRisk, _require_positive
 
 __all__ = [
     "ModelDims",
@@ -98,8 +103,7 @@ class ModelDims:
     def __post_init__(self) -> None:
         for name in ("d", "n", "p"):
             _require_positive_int(name, getattr(self, name))
-        if not math.isfinite(self.lambda0) or self.lambda0 < 0.0:
-            raise ValueError(f"lambda0 must be finite and >= 0, got {self.lambda0}")
+        _require_positive(lambda0=self.lambda0, zero_ok=True)
 
     @property
     def gamma(self) -> float:
@@ -164,8 +168,7 @@ def _solve_regularized_gram(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np
     A Cholesky factorization is the positive-definiteness check; the solve
     itself is LAPACK's ``gesv``.
     """
-    if lam < 0.0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    _require_positive(lam=lam, zero_ok=True)
     a = 0.5 * (gram + gram.T)
     if lam == 0.0:
         cond = np.linalg.cond(a)
@@ -234,10 +237,9 @@ def m_tilde(W: np.ndarray, lambda0: float) -> np.ndarray:
 
     Equals ``I - (I + W^T W / lambda0)^-1``; its eigenvalues are
     ``s^2 / (s^2 + lambda0)`` over the singular values ``s`` of W and lie in
-    [0, 1).  Requires ``lambda0 > 0``.
+    [0, 1).  Requires a finite ``lambda0 > 0``.
     """
-    if lambda0 <= 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
+    _require_positive(lambda0=lambda0)
     return W.T @ _solve_regularized_gram(W @ W.T, W, lambda0)
 
 
@@ -246,17 +248,19 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
 
     Each trial draws W, then a factor L of the second moment ``S = X X^T``
     straight from its Wishart law (see :func:`_wishart_factor`), and solves
-    the smaller ridge system (see :func:`_m_from_factor`).  Accumulates the
-    running mean of M, of ``tr(M)`` and of ``||M||_F^2`` in trial-index
-    order (trial ``t`` uses the RNG stream derived from
-    ``(master_seed, t)``), then forms
+    the smaller ridge system (see :func:`_m_from_factor`).  Sums ``tr(M)``
+    and ``||M||_F^2`` in trial-index order (trial ``t`` uses the RNG stream
+    derived from ``(master_seed, t)``), then forms
 
-        bias_sq  = ||mean M - I||^2 / d
-        variance = (mean ||M||^2 - ||mean M||^2) / d
         risk     = (mean ||M||^2 - 2 mean tr(M) + d) / d
+        bias_sq  = (1 - mean tr(M) / d)^2
+        variance = risk - bias_sq = mean ||M||^2 / d - (mean tr(M) / d)^2.
 
-    so that ``risk == bias_sq + variance`` holds as the exact algebraic
-    identity of the empirical decomposition.
+    Since ``E M = c I`` (see the module docstring), this bias estimate uses
+    the exact form of ``E M`` instead of the sample mean of M, whose
+    ``||mean M - I||^2 / d`` reads the bias high, and the variance low, by
+    variance / trials.  The variance is nonnegative: ``||M||^2 >= tr(M)^2 / d``
+    for each trial (Cauchy-Schwarz), then Jensen over the trials.
 
     Raises:
         ValueError: if ``trials`` is not an integer >= 2 (the variance is
@@ -268,24 +272,20 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     d = dims.d
     lam = dims.lam
     scale = 1.0 / math.sqrt(d)
-    m_sum = np.zeros((d, d))
     sq_sum = 0.0
     trace_sum = 0.0
     for t in range(trials):
         rng = spawn_rng(master_seed, t)
         W = rng.standard_normal((dims.p, d)) * scale
         M = _m_from_factor(W, _wishart_factor(rng, d, dims.n), lam)
-        m_sum += M
         sq_sum += float(np.vdot(M, M))
         trace_sum += float(np.trace(M))
-    m_mean = m_sum / trials
     sq_mean = sq_sum / trials
     trace_mean = trace_sum / trials
-    centered = m_mean - np.eye(d)
-    bias_sq = float(np.vdot(centered, centered)) / d
-    # Guard the subtraction form against a -1 ulp result when all trials agree.
-    variance = max((sq_mean - float(np.vdot(m_mean, m_mean))) / d, 0.0)
     risk = (sq_mean - 2.0 * trace_mean + d) / d
+    bias_sq = (1.0 - trace_mean / d) ** 2
+    # risk - bias_sq = mean ||M||^2 / d - (mean tr(M) / d)^2 >= 0 up to rounding.
+    variance = max(risk - bias_sq, 0.0)
     return BiasVarianceRisk(bias_sq=bias_sq, variance=variance, risk=risk)
 
 
@@ -379,8 +379,7 @@ def mc_risk_mtilde(d: int, p: int, lambda0: float, trials: int, master_seed: int
     """
     for name, value in (("d", d), ("p", p), ("trials", trials)):
         _require_positive_int(name, value)
-    if not (math.isfinite(lambda0) and lambda0 > 0.0):
-        raise ValueError(f"lambda0 must be finite and positive, got {lambda0}")
+    _require_positive(lambda0=lambda0)
     zeros = d - min(p, d)
     total = 0.0
     for t in range(trials):

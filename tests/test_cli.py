@@ -127,6 +127,7 @@ class TestConfigParsing:
         ("mlp-sweep", "classes", "1", "classes must be >= 2, got 1"),
         ("mlp-sweep", "parts", "1", "parts must be >= 2, got 1"),
         ("mlp-sweep", "parts", "100", "parts must be <= pool_size=60, got 100"),
+        ("mlp-sweep", "noise_p", "1.5", "noise_p must lie in [0, 1], got 1.5"),
         ("simulate", "d", "0", "d must be >= 1, got 0"),
         ("simulate", "p", "4,-2", "p must be >= 1, got [4, -2]"),
         ("simulate", "lambda0", "1,-1", "lambda0 must be >= 0, got [1.0, -1.0]"),
@@ -174,6 +175,25 @@ class TestConfigParsing:
         assert main(["theory", "--set", "lambda0=1", "--set", "gamma=-1e308:1e308:1"]) == 2
         assert "gamma: range '-1e308:1e308:1' overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, text, message", [
+        ("lambda0", "1:2", "lambda0: range syntax is start:stop:step, got '1:2'"),
+        ("lambda0", "1:2:0", "lambda0: range step must be positive"),
+        ("lambda0", "0:1e308:1e-308", "lambda0: range '0:1e308:1e-308' overflows"),
+        ("lambda0", ",", "lambda0: empty list"),
+        ("timings", "maybe", "timings: expected a boolean, got 'maybe'"),
+    ])
+    def test_malformed_value_exits_2(self, field, text, message, capsys):
+        assert run_with("theory", {field: text}) == 2
+        assert message in capsys.readouterr().err
+
+    def test_setting_without_equals_sign_exits_2(self, tmp_path, capsys):
+        assert main(["theory", "--set", "lambda0=1", "--set", "gamma=1", "--set", "oops"]) == 2
+        assert "--set expects KEY=VALUE, got 'oops'" in capsys.readouterr().err
+        path = tmp_path / "run.cfg"
+        path.write_text("lambda0 = 1\ngamma\n")
+        assert main(["theory", "--config", str(path)]) == 2
+        assert f"{path}:2: expected 'key = value'" in capsys.readouterr().err
+
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigError, match="format"):
             build_config("theory", {"lambda0": "1", "gamma": "1", "format": "xml"})
@@ -201,18 +221,27 @@ class TestRunConfig:
         assert_allclose(risk, 0.447214, atol=1e-6)
         assert table["width"] is None and table["wall_time_s"] is None
 
-    def test_simulate_identical_trials_zero_variance(self, monkeypatch):
+    SIMULATE_PAIRS = {"lambda0": "1", "d": "6", "n": "30", "p": "4", "trials": "2", "seed": "3"}
+
+    def test_simulate_scaled_identity_zero_variance(self, monkeypatch):
+        monkeypatch.setattr(twolayer, "_m_from_factor", lambda W, L, lam: 0.3 * np.eye(6))
+        table = run_config(build_config("simulate", self.SIMULATE_PAIRS))
+        (variance,), (bias_sq,), (risk,) = table["variance"], table["bias_sq"], table["risk"]
+        assert variance <= 1e-12
+        assert_allclose([bias_sq, risk], [0.49, 0.49], rtol=0, atol=1e-12)
+        assert table["trials"] == 2 and table["p"] == [4]
+
+    def test_simulate_identical_trials_spread_about_mean_trace(self, monkeypatch):
         monkeypatch.setattr(
             twolayer, "spawn_rng", lambda master, *path: np.random.default_rng(5)
         )
-        cfg = build_config(
-            "simulate",
-            {"lambda0": "1", "d": "6", "n": "30", "p": "4", "trials": "2", "seed": "3"},
-        )
-        table = run_config(cfg)
+        table = run_config(build_config("simulate", self.SIMULATE_PAIRS))
+        rng = np.random.default_rng(5)
+        W = rng.standard_normal((4, 6)) / math.sqrt(6)
+        M = twolayer._m_from_factor(W, twolayer._wishart_factor(rng, 6, 30), 5.0)
+        centered = M - np.trace(M) / 6 * np.eye(6)
         (variance,) = table["variance"]
-        assert variance <= 1e-12
-        assert table["trials"] == 2 and table["p"] == [4]
+        assert_allclose(variance, np.vdot(centered, centered) / 6, rtol=1e-12)
 
     def test_mlp_sweep_rows_ascend(self):
         cfg = build_config("mlp-sweep", dict(MLP_PAIRS))
@@ -492,7 +521,9 @@ GOLDEN_RUNS = {
 
 # Output bytes of GOLDEN_RUNS, recorded with the row-by-row emitter that the
 # column-wise one replaced; the noise_p = 0 sweep was recorded when its
-# pool still skipped label-noise injection.
+# pool still skipped label-noise injection.  The simulate bias_sq and variance
+# cells were re-recorded when the Monte Carlo bias became (1 - mean tr(M)/d)^2;
+# its risk cells are unchanged.
 GOLDEN = {
     ("theory", "csv"): (
         'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
@@ -524,28 +555,28 @@ GOLDEN = {
     ("simulate", "csv"): (
         'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
         'wall_time_s\n'
-        'simulate,0.1,0.5,,4,16,2,,3,7,0.553652935,0.429311733,0.124341202,\n'
-        'simulate,0.1,1.5,,4,16,6,,3,7,0.086145545,0.0556881407,0.0304574043,\n'
-        'simulate,1,0.5,,4,16,2,,3,7,0.717787658,0.668159318,0.0496283396,\n'
-        'simulate,1,1.5,,4,16,6,,3,7,0.402283893,0.356426482,0.0458574113,\n'
+        'simulate,0.1,0.5,,4,16,2,,3,7,0.553652935,0.354623216,0.199029719,\n'
+        'simulate,0.1,1.5,,4,16,6,,3,7,0.086145545,0.0380978643,0.0480476807,\n'
+        'simulate,1,0.5,,4,16,2,,3,7,0.717787658,0.643562445,0.0742252128,\n'
+        'simulate,1,1.5,,4,16,6,,3,7,0.402283893,0.325805802,0.0764780918,\n'
     ),
     ("simulate", "json"): (
         '[{"mode": "simulate", "lambda0": 0.1, "gamma": 0.5, "width": null, '
         '"d": 4, "n": 16, "p": 2, "noise_p": null, "trials": 3, "seed": 7, '
-        '"risk": 0.5536529351477328, "bias_sq": 0.4293117328452677, '
-        '"variance": 0.12434120230246518, "wall_time_s": null}, '
+        '"risk": 0.5536529351477328, "bias_sq": 0.3546232157656868, '
+        '"variance": 0.19902971938204606, "wall_time_s": null}, '
         '{"mode": "simulate", "lambda0": 0.1, "gamma": 1.5, "width": null, "d": 4, '
         '"n": 16, "p": 6, "noise_p": null, "trials": 3, "seed": 7, '
-        '"risk": 0.08614554502936222, "bias_sq": 0.05568814068229002, '
-        '"variance": 0.030457404347072337, "wall_time_s": null}, '
+        '"risk": 0.08614554502936222, "bias_sq": 0.03809786432636993, '
+        '"variance": 0.04804768070299229, "wall_time_s": null}, '
         '{"mode": "simulate", "lambda0": 1.0, "gamma": 0.5, "width": null, "d": 4, '
         '"n": 16, "p": 2, "noise_p": null, "trials": 3, "seed": 7, '
-        '"risk": 0.7177876577826687, "bias_sq": 0.6681593181654261, '
-        '"variance": 0.049628339617242806, "wall_time_s": null}, '
+        '"risk": 0.7177876577826687, "bias_sq": 0.643562444936713, '
+        '"variance": 0.07422521284595573, "wall_time_s": null}, '
         '{"mode": "simulate", "lambda0": 1.0, "gamma": 1.5, "width": null, "d": 4, '
         '"n": 16, "p": 6, "noise_p": null, "trials": 3, "seed": 7, '
-        '"risk": 0.4022838933836079, "bias_sq": 0.3564264820533929, '
-        '"variance": 0.04585741133021487, "wall_time_s": null}]\n'
+        '"risk": 0.4022838933836079, "bias_sq": 0.32580580158896677, '
+        '"variance": 0.07647809179464116, "wall_time_s": null}]\n'
     ),
     ("mlp-sweep", "csv"): (
         'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'

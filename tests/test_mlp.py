@@ -129,6 +129,21 @@ class TestTrainSgd:
         with pytest.raises(ValueError, match="nonempty"):
             train_sgd(params, empty, cfg)
 
+    @pytest.mark.parametrize("name, value", [
+        ("initial_lr", float("nan")),
+        ("initial_lr", float("inf")),
+        ("lr_decay_factor", float("nan")),
+        ("lr_decay_factor", float("inf")),
+        ("momentum", float("nan")),
+        ("momentum", float("-inf")),
+        ("weight_decay", float("inf")),
+        ("weight_decay", float("nan")),
+    ])
+    def test_non_finite_schedule_value_named(self, name, value):
+        """Refused when built, not as a divergence after training starts."""
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            TrainConfig(**{"epochs": 1, "initial_lr": 0.1, "lr_decay_every": 1, name: value})
+
 
 class TestInjectLabelNoise:
     def test_zero_probability_is_identity(self):

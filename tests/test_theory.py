@@ -124,10 +124,36 @@ class TestTheoryPoint:
     def test_wide_width_limit(self):
         assert theory_point(0.5, 1e7).bias_sq < 1e-12
 
-    @pytest.mark.parametrize("lam0,gamma", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("lam0,gamma", [
+        (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    ])
     def test_domain_rejected(self, lam0, gamma):
         with pytest.raises(ValueError):
             theory_point(lam0, gamma)
+
+
+@pytest.mark.parametrize("function, kwargs, message", [
+    (theory_point, dict(lambda0=math.nan, gamma=1.0), "lambda0 must be finite and positive, got nan"),
+    (theory_point, dict(lambda0=1.0, gamma=math.inf), "gamma must be finite and positive, got inf"),
+    (bias_derivative, dict(lambda0=math.nan, gamma=1.0),
+     "lambda0 must be finite and nonnegative, got nan"),
+    (bias_derivative, dict(lambda0=-1.0, gamma=1.0),
+     "lambda0 must be finite and nonnegative, got -1.0"),
+    (bias_derivative, dict(lambda0=0.0, gamma=math.inf), "gamma must be finite and positive, got inf"),
+    (small_lambda_expansion, dict(lambda0=math.inf, gamma=0.5),
+     "lambda0 must be finite and positive, got inf"),
+    (small_lambda_expansion, dict(lambda0=0.1, gamma=math.nan), "gamma must be finite and positive"),
+    (variance_peak, dict(lambda0=math.inf), "lambda0 must be finite and positive, got inf"),
+    (narayana_series, dict(lambda0=2.0, eta=math.nan, m_max=3), "eta must be finite and positive"),
+    (narayana_series_closed, dict(lambda0=math.nan, eta=1.0), "lambda0 must be finite and positive"),
+    (narayana_series_closed, dict(lambda0=1.0, eta=math.inf), "eta must be finite and positive"),
+    (mp_risk, dict(lambda0=1.0, eta=math.inf), "eta must be finite and positive, got inf"),
+    (mp_risk, dict(lambda0=-math.inf, eta=1.0), "lambda0 must be finite and positive, got -inf"),
+])
+def test_non_finite_or_out_of_domain_argument_named(function, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        function(**kwargs)
 
 
 class TestRelativeAccuracy:
@@ -242,8 +268,9 @@ class TestVariancePeak:
         assert 0.45 <= peak <= 0.50
 
     def test_invalid_lambda0(self):
-        with pytest.raises(ValueError):
-            variance_peak(0.0)
+        for lambda0 in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                variance_peak(lambda0)
 
     def test_non_unimodal_scan_reported(self, monkeypatch):
         """A bimodal curve must raise instead of returning a bogus argmax."""
@@ -360,10 +387,10 @@ class TestMpRisk:
                 assert abs(risk - exact) <= 1e-10 * exact, (lam0, gamma)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            mp_risk(0.0, 1.0)
-        with pytest.raises(ValueError):
-            mp_risk(1.0, 0.0)
+        for lambda0, eta in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan),
+                             (math.inf, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                mp_risk(lambda0, eta)
 
 
 class TestCurveShapes:

@@ -6,6 +6,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import bvlab.twolayer as twolayer
@@ -126,6 +128,19 @@ class TestRidgeFit:
         with pytest.raises(ValueError):
             ridge_fit(sample.W, sample.X, sample.y, -1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_ridge_rejected(self, lam):
+        sample = sample_instance(ModelDims(d=3, n=6, p=2, lambda0=1.0), seed=5)
+        with pytest.raises(ValueError, match=f"lam must be finite and nonnegative, got {lam}"):
+            ridge_fit(sample.W, sample.X, sample.y, lam)
+
+    def test_ridge_below_rounding_rejected(self):
+        """p = 8 features from n = 3 samples: a ridge of 1e-20 is lost to
+        rounding, and the Cholesky check refuses the singular system."""
+        sample = sample_instance(ModelDims(d=6, n=3, p=8, lambda0=1.0), seed=3)
+        with pytest.raises(SingularSystemError, match="not positive definite at lam=1e-20"):
+            ridge_fit(sample.W, sample.X, sample.y, 1e-20)
+
 
 class TestMMatrix:
     def test_strong_ridge_vanishes(self):
@@ -182,6 +197,17 @@ class TestMTilde:
     def test_nonpositive_ridge_rejected(self):
         with pytest.raises(ValueError):
             m_tilde(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("lambda0", [math.nan, math.inf])
+    def test_non_finite_ridge_rejected(self, lambda0):
+        with pytest.raises(ValueError, match=f"lambda0 must be finite and positive, got {lambda0}"):
+            m_tilde(np.eye(2), lambda0)
+
+    def test_ridge_below_rounding_rejected(self):
+        """W W^T is 8 x 8 of rank 4, and 1e-300 does not lift its zero eigenvalues."""
+        W = np.random.default_rng(0).standard_normal((8, 4)) / 2
+        with pytest.raises(SingularSystemError, match="not positive definite at lam=1e-300"):
+            m_tilde(W, 1e-300)
 
 
 class TestWishartSecondMoment:
@@ -268,18 +294,39 @@ class TestMcBiasVariance:
             gap = abs(getattr(stats, name) - reference[name])
             assert gap <= 4.0 * math.sqrt(2.0) * se[name], name
 
-    def test_identical_trials_have_zero_variance(self, monkeypatch):
+    def test_scaled_identity_trials_have_zero_variance(self, monkeypatch):
+        monkeypatch.setattr(twolayer, "_m_from_factor", lambda W, L, lam: 0.3 * np.eye(6))
+        stats = mc_bias_variance(ModelDims(d=6, n=30, p=4, lambda0=1.0), 5, 0)
+        assert stats.variance <= 1e-12
+        assert_allclose([stats.bias_sq, stats.risk], [0.49, 0.49], rtol=0, atol=1e-12)
+
+    def test_identical_trials_give_spread_about_mean_trace(self, monkeypatch):
+        """With every trial the same M, the variance is that of M about
+        ``(tr M / d) I``, the form ``E M = c I`` takes, not zero."""
         monkeypatch.setattr(
             twolayer, "spawn_rng", lambda master, *path: np.random.default_rng(1234)
         )
-        stats = mc_bias_variance(ModelDims(d=6, n=30, p=4, lambda0=1.0), 5, 0)
-        assert stats.variance <= 1e-12
-        assert_allclose(stats.risk, stats.bias_sq, rtol=1e-10)
+        dims = ModelDims(d=6, n=30, p=4, lambda0=1.0)
+        stats = mc_bias_variance(dims, 5, 0)
+        rng = np.random.default_rng(1234)
+        W = rng.standard_normal((4, 6)) / math.sqrt(6)
+        M = twolayer._m_from_factor(W, twolayer._wishart_factor(rng, 6, 30), dims.lam)
+        centered = M - np.trace(M) / 6 * np.eye(6)
+        assert_allclose(stats.variance, np.vdot(centered, centered) / 6, rtol=1e-12)
 
     def test_decomposition_identity(self):
         stats = mc_bias_variance(ModelDims(d=12, n=60, p=9, lambda0=0.3), 40, 17)
         assert abs(stats.risk - stats.bias_sq - stats.variance) <= 1e-12 * stats.risk
         assert stats.bias_sq >= 0.0 and stats.variance >= 0.0
+        assert stats.bias_sq <= stats.risk
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(1, 8),
+           st.floats(0.1, 10.0), st.integers(2, 5), st.integers(0, 2**32))
+    def test_decomposition_invariants(self, d, n, p, lambda0, trials, seed):
+        stats = mc_bias_variance(ModelDims(d=d, n=n, p=p, lambda0=lambda0), trials, seed)
+        assert abs(stats.risk - stats.bias_sq - stats.variance) <= 1e-12 * stats.risk
+        assert stats.variance >= 0.0
         assert stats.bias_sq <= stats.risk
 
     def test_deterministic_in_master_seed(self):
