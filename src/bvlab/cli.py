@@ -208,10 +208,6 @@ def _parse_bool(text: str, name: str) -> bool:
     raise ConfigError(f"{name}: expected a boolean, got {text!r}")
 
 
-def _parse_text(text: str, name: str) -> str:
-    return text
-
-
 # A field's annotation -> the parser of its config values.  Annotations are
 # strings (``from __future__ import annotations`` in this module and in mlp).
 _PARSERS = {
@@ -220,7 +216,7 @@ _PARSERS = {
     "int": _parse_int,
     "float": _parse_finite,
     "bool": _parse_bool,
-    "str": _parse_text,
+    "str": lambda text, name: text,
 }
 
 

@@ -1,6 +1,26 @@
-import numpy as np
+import os
 
+import numpy as np
+import pytest
+
+import bvlab.mlp as mlp_module
 from bvlab.mlp import MlpParams, loss_and_gradients
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="training splits over processes only with os.fork and CPU affinity",
+)
+
+
+def force_processes(monkeypatch, count: int) -> None:
+    """Let training split even a short loop over ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(mlp_module, "_MIN_FORK_STEPS", 0)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def finite_difference_gradients(

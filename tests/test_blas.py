@@ -4,6 +4,7 @@ import bvlab._blas as blas
 import bvlab.mlp as mlp_module
 from bvlab.estimators import plan_splits
 from bvlab.mlp import TrainConfig, synth_dataset, width_sweep
+from conftest import force_processes, needs_fork
 
 CONTROLS = blas._thread_controls()
 needs_openblas = pytest.mark.skipif(
@@ -52,6 +53,22 @@ class TestSingleBlasThread:
         seen = spy_threads(monkeypatch, mlp_module, "_stacked_loss_and_gradients")
         width_sweep([3], *sweep_inputs())
         assert seen and set(seen) == {1}
+        assert CONTROLS[0]() == two_threads
+
+    @needs_fork
+    def test_split_sweep_trains_on_one_thread_in_every_process(self, monkeypatch,
+                                                               two_threads):
+        """A forked block fails the sweep if its steps see another count."""
+        step = mlp_module._stacked_loss_and_gradients
+
+        def checked_step(*args):
+            if CONTROLS[0]() != 1:
+                raise AssertionError(f"a step ran on {CONTROLS[0]()} BLAS threads")
+            return step(*args)
+
+        monkeypatch.setattr(mlp_module, "_stacked_loss_and_gradients", checked_step)
+        force_processes(monkeypatch, 2)
+        width_sweep([3], *sweep_inputs())
         assert CONTROLS[0]() == two_threads
 
     def test_restored_when_a_step_raises(self, monkeypatch, two_threads):

@@ -24,6 +24,7 @@ from bvlab.cli import (
     run_config,
 )
 from bvlab.theory import theory_point
+from conftest import assert_no_child_left, force_processes, needs_fork
 
 MLP_PAIRS = {
     "widths": "2,4,8",
@@ -370,6 +371,19 @@ class TestMainEntry:
         assert run_with("mlp-sweep", {}, "--out", str(one)) == 0
         assert run_with("mlp-sweep", {}, "--threads", "2", "--out", str(two)) == 0
         assert one.read_bytes() == two.read_bytes()
+
+    @needs_fork
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mlp_sweep_bytes_equal_at_1_2_3_processes(self, fmt, monkeypatch, tmp_path):
+        outputs = []
+        for processes in (1, 2, 3):
+            force_processes(monkeypatch, processes)
+            out = tmp_path / f"sweep-{processes}.{fmt}"
+            assert run_with("mlp-sweep", {"repeats": "3"}, "--format", fmt,
+                            "--out", str(out)) == 0
+            assert_no_child_left()
+            outputs.append(out.read_bytes())
+        assert outputs == [outputs[0]] * 3
 
     def test_mlp_sweep_output_pinned(self, tmp_path):
         """Exact risk/bias/variance floats of a small sweep.

@@ -1,3 +1,6 @@
+import math
+import os
+import signal
 import struct
 from dataclasses import replace
 
@@ -21,7 +24,13 @@ from bvlab.mlp import (
     train_sgd,
     width_sweep,
 )
-from conftest import finite_difference_gradients, relative_gradient_error
+from conftest import (
+    assert_no_child_left,
+    finite_difference_gradients,
+    force_processes,
+    needs_fork,
+    relative_gradient_error,
+)
 
 
 def least_squares_probe_accuracy(train: LabeledDataset, test: LabeledDataset) -> float:
@@ -337,3 +346,166 @@ class TestWidthSweep:
                                       replace(cfg, seed=seed))
                     expected = predict_probabilities(alone, test.inputs)
                     assert np.array_equal(outputs[:, i, j, :], expected)
+
+
+def count_forks(monkeypatch):
+    """Count the calls of ``os.fork``; returns the one-item count list."""
+    count = [0]
+    fork = os.fork
+
+    def counting_fork():
+        count[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return count
+
+
+def forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def marked_setup():
+    """Six members on disjoint parts whose feature 0 is the member index."""
+    pool, test, plan, cfg = tiny_sweep_setup(pool_n=90, parts=6)  # 15 examples: 1 batch
+    inputs = pool.inputs.copy()
+    for member, rows in enumerate(plan.assignment.reshape(plan.model_count, -1)):
+        inputs[rows, 0] = member
+    return LabeledDataset(inputs, pool.labels), test, plan, cfg
+
+
+def diverge_from(monkeypatch, first_bad_epoch):
+    """Make member k's batch loss non-finite from epoch ``first_bad_epoch[k]`` on.
+
+    Needs one batch per epoch and the data of :func:`marked_setup`.
+    """
+    train, loss = mlp_module._train_stacked, mlp_module._stacked_loss_and_gradients
+    epoch = [0]
+
+    def counting_train(*args):
+        epoch[0] = 0
+        return train(*args)
+
+    def marked_loss(layers, inputs, onehot, grads, work):
+        squared = loss(layers, inputs, onehot, grads, work)
+        members = inputs[:, 0, 0].astype(int)
+        bad = any(epoch[0] >= first_bad_epoch[k] for k in members)
+        epoch[0] += 1
+        return math.nan if bad else squared
+
+    monkeypatch.setattr(mlp_module, "_train_stacked", counting_train)
+    monkeypatch.setattr(mlp_module, "_stacked_loss_and_gradients", marked_loss)
+
+
+def fail_in(monkeypatch, child, failure):
+    """Run ``failure()`` before training in every forked process, or in this one."""
+    train, parent = mlp_module._train_stacked, os.getpid()
+
+    def train_or_fail(*args):
+        if (os.getpid() != parent) == child:
+            failure()
+        return train(*args)
+
+    monkeypatch.setattr(mlp_module, "_train_stacked", train_or_fail)
+
+
+@needs_fork
+class TestProcessSplit:
+    def test_outputs_bitwise_equal_at_1_2_3_processes(self, monkeypatch):
+        pool, test, plan, cfg = tiny_sweep_setup(pool_n=90, repeats=3)  # 6 members
+        decompose = mlp_module.estimate_mse_decomposition
+        forks = count_forks(monkeypatch)
+        runs = []
+        for processes in (1, 2, 3):
+            force_processes(monkeypatch, processes)
+            forks[0] = 0
+            outputs = []
+
+            def capture(matrix, onehot):
+                outputs.append(matrix.outputs.tobytes())
+                return decompose(matrix, onehot)
+
+            monkeypatch.setattr(mlp_module, "estimate_mse_decomposition", capture)
+            results = width_sweep([1, 3, 37], pool, test, plan, cfg)
+            floats = np.array([(r.risk, r.bias_sq, r.variance) for _, r in results])
+            runs.append((outputs, floats.tobytes()))
+            assert forks[0] == 3 * (processes - 1)
+            assert_no_child_left()
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("first_bad_epoch, epoch", [
+        ([9, 9, 9, 9, 1, 9], 1),  # only the last block
+        ([2, 9, 9, 9, 1, 9], 1),  # both blocks: the later block's earlier epoch
+        ([1, 9, 9, 2, 9, 9], 1),  # both blocks: the first block's earlier epoch
+        ([9, 9, 2, 9, 9, 2], 2),  # both blocks at one epoch
+    ])
+    def test_divergence_raises_the_serial_error(self, monkeypatch, first_bad_epoch, epoch):
+        pool, test, plan, cfg = marked_setup()
+        diverge_from(monkeypatch, first_bad_epoch)
+        messages = []
+        for processes in (1, 2, 3):
+            force_processes(monkeypatch, processes)
+            with pytest.raises(TrainingDivergedError) as info:
+                width_sweep([3], pool, test, plan, cfg)
+            assert info.value.epoch == epoch
+            messages.append(str(info.value))
+            assert_no_child_left()
+        lr = cfg.initial_lr / cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
+        assert messages[0].startswith(f"width 3: non-finite loss at epoch {epoch} (lr={lr:g})")
+        assert messages == [messages[0]] * 3
+
+    def test_child_exception_names_block_and_status(self, monkeypatch):
+        def failure():
+            raise ValueError("injected in the child")
+
+        fail_in(monkeypatch, True, failure)
+        force_processes(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"members 3-5 .*\(exit status 1\): "
+                                               r"ValueError: injected in the child"):
+            width_sweep([3], *tiny_sweep_setup(pool_n=90, repeats=3))
+        assert_no_child_left()
+
+    def test_child_killed_by_a_signal(self, monkeypatch):
+        fail_in(monkeypatch, True, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        force_processes(monkeypatch, 3)
+        with pytest.raises(RuntimeError, match=rf"members 2-3 .*\(killed by signal "
+                                               rf"{int(signal.SIGKILL)}\)"):
+            width_sweep([3], *tiny_sweep_setup(pool_n=90, repeats=3))
+        assert_no_child_left()
+
+    def test_parent_failure_leaves_no_child(self, monkeypatch):
+        def failure():
+            raise KeyError("injected in the parent")
+
+        fail_in(monkeypatch, False, failure)
+        force_processes(monkeypatch, 3)
+        with pytest.raises(KeyError, match="injected in the parent"):
+            width_sweep([3], *tiny_sweep_setup(pool_n=90, repeats=3))
+        assert_no_child_left()
+
+    def test_one_cpu_stays_in_process(self, monkeypatch):
+        force_processes(monkeypatch, 1)
+        forbid_fork(monkeypatch)
+        width_sweep([3], *tiny_sweep_setup(pool_n=90, repeats=3))
+
+    def test_train_sgd_stays_in_process(self, monkeypatch):
+        force_processes(monkeypatch, 3)
+        forbid_fork(monkeypatch)
+        data = synth_dataset(4, 40, 3, margin=2.0, seed=0)
+        cfg = TrainConfig(epochs=3, initial_lr=0.2, lr_decay_every=2, batch_size=8)
+        train_sgd(init_mlp(4, 5, 3, seed=0), data, cfg)
+
+    def test_short_sweep_stays_in_process(self, monkeypatch):
+        """The benchmark's smoke sweep: 20 epochs of 8 batches, 160 steps."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        forbid_fork(monkeypatch)
+        pool = synth_dataset(16, 2048, 4, margin=2.0, seed=1)
+        test = synth_dataset(16, 512, 4, margin=2.0, seed=2)
+        plan = plan_splits(2048, 2, 3, master_seed=3)
+        cfg = TrainConfig(epochs=20, initial_lr=0.3, lr_decay_every=100, seed=4)
+        assert cfg.epochs * math.ceil(plan.part_size / cfg.batch_size) == 160
+        assert 160 < mlp_module._MIN_FORK_STEPS
+        width_sweep([16], pool, test, plan, cfg)

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +33,15 @@ def test_package_imports_are_public_names():
         for alias in node.names:
             assert hasattr(bvlab, alias.name), alias.name
             assert alias.name in getattr(module, "__all__", [alias.name]), alias.name
+
+
+def test_cli_import_loads_no_process_pool_module():
+    """``import bvlab.cli`` stays free of the pool modules' import time."""
+    script = (
+        "import sys, bvlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent', 'subprocess')))"
+    )
+    src = str(Path(bvlab.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
