@@ -262,9 +262,21 @@ def geometric_mean_distribution(probs: np.ndarray) -> np.ndarray:
         raise ValueError(f"probs must have shape (m, c), got {arr.shape}")
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError("probs entries must be strictly positive and finite")
-    log_mean = _sorted_sum(np.log(arr), axis=0) / arr.shape[0]
-    out = np.exp(log_mean - log_mean.max())
-    return out / out.sum()
+    return _geometric_mean(np.log(arr), axis=0)[0]
+
+
+def _geometric_mean(log_probs: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(pihat, log pihat)``: the normalized geometric mean over ``axis``.
+
+    ``log_probs`` holds the logs of distributions over its last axis, which
+    must not be ``axis``.  The mean is taken in sorted order (see
+    :func:`_sorted_sum`) and shifted by its maximum before ``exp``.
+    """
+    log_mean = _sorted_sum(log_probs, axis=axis) / log_probs.shape[axis]
+    shifted = log_mean - log_mean.max(axis=-1, keepdims=True)
+    weights = np.exp(shifted)
+    z = weights.sum(axis=-1, keepdims=True)
+    return weights / z, shifted - np.log(z)
 
 
 def _one_hot_index(labels: np.ndarray, test_count: int, c: int) -> np.ndarray:
@@ -304,13 +316,7 @@ def estimate_kl_decomposition(
 
     flat = p.reshape(test_count, repeats * parts, c)
     log_flat = np.log(flat)
-    log_mean = _sorted_sum(log_flat, axis=1) / flat.shape[1]
-
-    shifted = log_mean - log_mean.max(axis=1, keepdims=True)
-    weights = np.exp(shifted)
-    z = weights.sum(axis=1)
-    pihat = weights / z[:, None]
-    log_pihat = shifted - np.log(z)[:, None]
+    pihat, log_pihat = _geometric_mean(log_flat, axis=1)
 
     rows = np.arange(test_count)
     risk_pt = -_sorted_sum(log_flat[rows, :, true_class], axis=1) / flat.shape[1]

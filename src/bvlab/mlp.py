@@ -19,25 +19,25 @@ weights are bitwise those it would reach if trained alone by
 
 On a POSIX host with more than one usable CPU, a long enough training loop
 splits the members into contiguous blocks, one per CPU the process may run
-on (``os.sched_getaffinity``), and trains all but the first block in forked
-processes, each on one BLAS thread.  The trained weights come back through a
-pipe and are put back in member order; since a member does not depend on
-which members it is stacked with, the output bytes do not depend on the
-number of processes.  Limit the processes with the CPU affinity, e.g.
-``taskset -c 0 bvlab mlp-sweep ...`` trains in one process.
+on (``os.sched_getaffinity``), and trains all but the first block in the
+long-lived worker processes of :mod:`bvlab._workers`, each on one BLAS
+thread.  The trained weights come back through a pipe and are put back in
+member order; since a member does not depend on which members it is stacked
+with, the output bytes do not depend on the number of processes.  Limit the
+processes with the CPU affinity, e.g. ``taskset -c 0 bvlab mlp-sweep ...``
+trains in one process.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
 import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import _workers
 from .estimators import (
     DecompositionResult,
     PredictionMatrix,
@@ -74,6 +74,9 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, message: str, epoch: int) -> None:
         super().__init__(message)
         self.epoch = epoch
+
+    def __reduce__(self):
+        return type(self), (str(self), self.epoch)
 
 
 class IdxFormatError(ValueError):
@@ -341,59 +344,39 @@ def _train_stacked(
     return [MlpParams(*[layer[k] for layer in layers]) for k in range(len(members))]
 
 
-# Fewest stacked steps (epochs x batches per epoch) worth a forked process.
-# On a 2-vCPU VM a fork and its reap cost 4-14 ms at 0-250 MB resident, and
-# a step costs at least about 0.2 ms, so from 1,000 steps (200 ms) on the
-# fork costs at most 7% of a block's time.  Measured there, 200-epoch widths
-# of 1,600 steps ran 1.2x faster in two processes at width 2 and 1.9x at
-# width 256, while a 20-epoch sweep of 160 steps ran at 0.56x the
-# in-process speed.
+# Fewest stacked steps (epochs x batches per epoch) worth splitting over the
+# worker pool (bvlab._workers).  On a 2-vCPU VM a split of the benchmark's
+# widths (6 members, 1,024 examples of 16 inputs each) sends about 1 MB of
+# members and data to a worker and its trained weights back, 6-9 ms in all,
+# and the first split of a process also forks the worker (4-14 ms at
+# 0-250 MB resident).  A step costs at least about 0.2 ms, so from 1,000
+# steps (200 ms) on a split loses at most 5% to the round trip, 12% with the
+# fork.  Measured there, 200-epoch widths of 1,600 steps ran 1.2x faster in
+# two processes at width 2 and 1.9x at width 256, where a stacked step is
+# mostly GEMM; at small widths it is mostly per-call NumPy overhead, which
+# does not halve with the members, and a 20-epoch sweep of 160 steps gained
+# nothing.
 _MIN_FORK_STEPS = 1_000
 
 
-def _train_block(*args) -> tuple:
-    """Run :func:`_train_stacked`; ("ok", members) or ("diverged", epoch, message)."""
-    try:
-        return ("ok", _train_stacked(*args))
-    except TrainingDivergedError as exc:
-        return ("diverged", exc.epoch, str(exc))
+def _train_members(
+    lo: int,
+    hi: int,
+    members: Sequence[MlpParams],
+    inputs: np.ndarray,
+    onehot: np.ndarray,
+    cfg: TrainConfig,
+    seeds: Sequence[int],
+) -> list[MlpParams] | TrainingDivergedError:
+    """:func:`_train_stacked` on members ``lo..hi-1``.
 
-
-def _run_child(write_fd: int, inherited: Sequence[int], args: tuple) -> None:
-    """In a forked child: train one block, pickle its outcome down the pipe, exit.
-
-    Closes the parent's pipe ends in ``inherited`` first.  Exits 0 after
-    sending the outcome, or 1 after sending the text of any other exception;
-    ``os._exit`` skips the parent's clean-up and buffers.
+    Returns a :class:`TrainingDivergedError` instead of raising it, so that
+    :func:`_train_split` can raise the one of the earliest epoch.
     """
-    code = 1
     try:
-        for fd in inherited:
-            os.close(fd)
-        try:
-            payload, ok = pickle.dumps(_train_block(*args), pickle.HIGHEST_PROTOCOL), True
-        except BaseException as exc:  # noqa: BLE001 -- reported to the parent
-            payload, ok = f"{type(exc).__name__}: {exc}".encode(), False
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        code = 0 if ok else 1
-    finally:
-        os._exit(code)
-
-
-def _reap(pid: int, read_fd: int, lo: int, hi: int) -> tuple:
-    """Read a child's outcome for members ``lo..hi-1`` and wait for it to exit."""
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return pickle.loads(data)
-    status = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-    detail = f": {data.decode(errors='replace')}" if code > 0 and data else ""
-    raise RuntimeError(f"training members {lo}-{hi - 1} in a forked process failed "
-                       f"({status}){detail}")
+        return _train_stacked(members[lo:hi], inputs[lo:hi], onehot[lo:hi], cfg, seeds[lo:hi])
+    except TrainingDivergedError as exc:
+        return exc
 
 
 def _train_split(
@@ -403,60 +386,30 @@ def _train_split(
     cfg: TrainConfig,
     seeds: Sequence[int],
 ) -> list[MlpParams]:
-    """:func:`_train_stacked`, with the members split over forked processes.
+    """:func:`_train_stacked`, with the members split over the worker pool.
 
     The members are cut into contiguous blocks whose sizes differ by at most
-    one, one per CPU of the process's affinity (at most one per member).
-    The first block trains here and each other block in a child; outcomes
-    are merged in member order.  Stays in one process without ``os.fork``,
-    with one CPU, or below ``_MIN_FORK_STEPS`` steps.  A child runs only
-    NumPy, ``pickle`` and ``os`` calls: bvlab starts no thread, and OpenBLAS
-    stops its thread pool before a fork (``pthread_atfork``), so no lock is
-    held by a thread the child lacks.
+    one, one per CPU of the process's affinity (at most one per member), and
+    trained by :func:`bvlab._workers.run_blocks`: the first block here, each
+    other block in a worker process.  Outcomes are merged in member order.
+    Stays in one process with one CPU, without ``os.fork``, or below
+    ``_MIN_FORK_STEPS`` steps.
 
     Raises:
         TrainingDivergedError: the one :func:`_train_stacked` raises on all
             members together: that of the block diverging at the earliest
             epoch.
-        RuntimeError: when a child fails otherwise or dies, naming its
-            members and exit status; no child is left running.
+        RuntimeError: a worker process died, naming its block and exit status.
     """
     steps = cfg.epochs * math.ceil(inputs.shape[1] / cfg.batch_size)
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and steps >= _MIN_FORK_STEPS:
-        workers = min(len(os.sched_getaffinity(0)), len(members))
-    if workers < 2:
-        return _train_stacked(members, inputs, onehot, cfg, seeds)
-    bounds = [len(members) * i // workers for i in range(workers + 1)]
-    blocks = [
-        (members[lo:hi], inputs[lo:hi], onehot[lo:hi], cfg, seeds[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    pending: list[tuple[int, int, int, int]] = []  # (pid, read end, lo, hi), not reaped
-    try:
-        for block, lo, hi in zip(blocks[1:], bounds[1:], bounds[2:]):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _run_child(write_fd, [read_fd, *(fd for _, fd, _, _ in pending)], block)
-            os.close(write_fd)
-            pending.append((pid, read_fd, lo, hi))
-        outcomes = [_train_block(*blocks[0])]
-        while pending:
-            outcomes.append(_reap(*pending.pop(0)))
-    finally:
-        if pending:
-            import signal  # here only: importing it costs about 1 ms of set-up
-
-            for pid, read_fd, _, _ in pending:
-                os.kill(pid, signal.SIGKILL)
-                os.close(read_fd)
-                os.waitpid(pid, 0)
-    diverged = [outcome for outcome in outcomes if outcome[0] == "diverged"]
+    processes = _workers.available() if steps >= _MIN_FORK_STEPS else 1
+    outcomes = _workers.run_blocks(_train_members, len(members),
+                                   min(processes, len(members)),
+                                   members, inputs, onehot, cfg, seeds)
+    diverged = [outcome for outcome in outcomes if isinstance(outcome, TrainingDivergedError)]
     if diverged:
-        _, epoch, message = min(diverged, key=lambda outcome: outcome[1])
-        raise TrainingDivergedError(message, epoch)
-    return [params for outcome in outcomes for params in outcome[1]]
+        raise min(diverged, key=lambda exc: exc.epoch)
+    return [params for outcome in outcomes for params in outcome]
 
 
 def train_sgd(params: MlpParams, data: LabeledDataset, cfg: TrainConfig) -> MlpParams:
@@ -586,10 +539,11 @@ def width_sweep(
     trained (member seeds derive from ``(cfg.seed, width, repeat, part)``)
     and their softmax outputs on the test set are decomposed against one-hot
     test labels.  A width's members are stepped together in stacked loops,
-    one per process when the members are split over forked processes (one
-    per CPU of the affinity mask, from ``_MIN_FORK_STEPS`` steps on); each
-    member ends bitwise where :func:`train_sgd` alone would take it, so the
-    results do not depend on the number of processes.
+    one per process when the members are split over the worker pool (one
+    process per CPU of the affinity mask, from ``_MIN_FORK_STEPS`` steps on;
+    the workers are forked once and serve every width); each member ends
+    bitwise where :func:`train_sgd` alone would take it, so the results do
+    not depend on the number of processes.
 
     Returns:
         One ``(width, DecompositionResult)`` pair per width, in input order.
@@ -597,7 +551,7 @@ def width_sweep(
     Raises:
         TrainingDivergedError: re-raised with the offending width named; the
             one a single stacked loop of all members would raise.
-        RuntimeError: a forked process failed otherwise or died.
+        RuntimeError: a worker process died.
     """
     if not widths:
         raise ValueError("widths must be nonempty")

@@ -47,7 +47,14 @@ A Monte Carlo trial's system is min(p, d, n) x min(p, d, n); ``m_matrix``
 keeps the p x p system on ``X X^T`` as the direct reference.
 Trials own disjoint RNG streams derived from the master seed and are reduced
 in fixed trial-index order, so results are bit-reproducible for a fixed
-NumPy build regardless of how trials are scheduled.
+NumPy build regardless of how trials are scheduled.  Both Monte Carlo
+estimators use that: once a call's estimated work passes
+``_MIN_SPLIT_US``, its trials are cut into contiguous blocks, one per CPU of
+the affinity mask, and all but the first block run in the long-lived worker
+processes of :mod:`bvlab._workers`, on one BLAS thread each.  Each block
+returns its per-trial values and this process sums them in trial order, so
+the result has the same bits at any number of processes (``taskset -c 0``
+keeps a run in one process).
 """
 
 from __future__ import annotations
@@ -58,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _workers
 from .seeding import spawn_rng
 from .theory import BiasVarianceRisk, _require_positive
 
@@ -243,6 +251,44 @@ def m_tilde(W: np.ndarray, lambda0: float) -> np.ndarray:
     return W.T @ _solve_regularized_gram(W @ W.T, W, lambda0)
 
 
+# Least estimated Monte Carlo work, in microseconds of one core, worth
+# splitting a call's trials over the worker pool (bvlab._workers).  On a
+# 2-vCPU VM a pool round trip (a small pickled request, the worker woken
+# from a pipe read, the per-trial floats sent back) took 38 us in the median
+# between back-to-back calls, but after 50 ms of idling 0.5 ms in the median,
+# 2.7 ms at the 90th percentile and up to 8 ms: the time to wake a halted
+# vCPU.  A two-way split of W us saves about W / 2 minus that, so from 5 ms
+# on it gains even at that 90th percentile.  Measured there, 5-trial
+# mc_risk_mtilde calls at d = 512 (about 2.5 ms) split ran slower in the
+# mean, while each 40-trial simulate point of criterion 03 (10-20 ms) ran
+# 1.5-1.6x faster in a benchmark-like sequence.  The first split of a
+# process also forks its workers (4-14 ms at 0-250 MB resident); a call
+# below the threshold never does.
+_MIN_SPLIT_US = 5_000.0
+
+
+def _split_blocks(trials: int, trial_us: float) -> int:
+    """Processes to split ``trials`` trials of about ``trial_us`` each over."""
+    if trials * trial_us < _MIN_SPLIT_US:
+        return 1
+    return min(_workers.available(), trials)
+
+
+def _bias_variance_trials(
+    lo: int, hi: int, dims: ModelDims, master_seed: int
+) -> list[tuple[float, float]]:
+    """``(||M||_F^2, tr M)`` of trials ``lo..hi-1`` of :func:`mc_bias_variance`."""
+    d = dims.d
+    scale = 1.0 / math.sqrt(d)
+    stats = []
+    for t in range(lo, hi):
+        rng = spawn_rng(master_seed, t)
+        W = rng.standard_normal((dims.p, d)) * scale
+        M = _m_from_factor(W, _wishart_factor(rng, d, dims.n), dims.lam)
+        stats.append((float(np.vdot(M, M)), float(np.trace(M))))
+    return stats
+
+
 def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVarianceRisk:
     """Monte Carlo bias/variance/risk over fresh (W, X) draws.
 
@@ -260,26 +306,31 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     the exact form of ``E M`` instead of the sample mean of M, whose
     ``||mean M - I||^2 / d`` reads the bias high, and the variance low, by
     variance / trials.  The variance is nonnegative: ``||M||^2 >= tr(M)^2 / d``
-    for each trial (Cauchy-Schwarz), then Jensen over the trials.
+    for each trial (Cauchy-Schwarz), then Jensen over the trials.  A long
+    call splits its trials over processes (see the module docstring) with
+    the same result.
 
     Raises:
         ValueError: if ``trials`` is not an integer >= 2 (the variance is
             undefined for one trial).
+        SingularSystemError: the first trial whose system is singular.
+        RuntimeError: a worker process died.
     """
     _require_positive_int("trials", trials)
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     d = dims.d
-    lam = dims.lam
-    scale = 1.0 / math.sqrt(d)
+    # Measured on a 2-vCPU VM: about 40 us per trial plus 12.5 ns per entry
+    # of W, L and M.
+    trial_us = 40.0 + d * (dims.p + min(d, dims.n) + d) / 80.0
+    blocks = _workers.run_blocks(_bias_variance_trials, trials,
+                                 _split_blocks(trials, trial_us), dims, master_seed)
     sq_sum = 0.0
     trace_sum = 0.0
-    for t in range(trials):
-        rng = spawn_rng(master_seed, t)
-        W = rng.standard_normal((dims.p, d)) * scale
-        M = _m_from_factor(W, _wishart_factor(rng, d, dims.n), lam)
-        sq_sum += float(np.vdot(M, M))
-        trace_sum += float(np.trace(M))
+    for block in blocks:  # in trial order, as one loop over the trials would
+        for sq, trace in block:
+            sq_sum += sq
+            trace_sum += trace
     sq_mean = sq_sum / trials
     trace_mean = trace_sum / trials
     risk = (sq_mean - 2.0 * trace_mean + d) / d
@@ -359,6 +410,18 @@ def _ridge_trace_sq(a: np.ndarray, b: np.ndarray, lambda0: float) -> float:
     return total
 
 
+def _mtilde_trials(
+    lo: int, hi: int, d: int, p: int, lambda0: float, master_seed: int
+) -> list[float]:
+    """``||Mtilde - I||_F^2 / d`` of trials ``lo..hi-1`` of :func:`mc_risk_mtilde`."""
+    zeros = d - min(p, d)
+    values = []
+    for t in range(lo, hi):
+        a, b = _laguerre_bidiagonal(spawn_rng(master_seed, t), p, d)
+        values.append((_ridge_trace_sq(a, b, lambda0) + zeros) / d)
+    return values
+
+
 def mc_risk_mtilde(d: int, p: int, lambda0: float, trials: int, master_seed: int) -> float:
     """Monte Carlo estimate of ``E ||Mtilde - I||_F^2 / d`` over W draws.
 
@@ -371,18 +434,25 @@ def mc_risk_mtilde(d: int, p: int, lambda0: float, trials: int, master_seed: int
     2002; see :func:`_laguerre_bidiagonal`), sums over them in O(m) by the
     twisted-factorization recurrence of :func:`_ridge_trace_sq`, and adds 1
     for each of the other d - m eigenvalues, all zero.  No W is drawn and no
-    BLAS or LAPACK routine runs.  Trials are reduced in trial-index order.
+    BLAS or LAPACK routine runs.  Trials are reduced in trial-index order,
+    also when a long call splits them over processes.
 
     Raises:
         ValueError: if d, p or trials is not a positive integer, or lambda0
             is not finite and positive.
+        RuntimeError: a worker process died.
     """
     for name, value in (("d", d), ("p", p), ("trials", trials)):
         _require_positive_int(name, value)
     _require_positive(lambda0=lambda0)
-    zeros = d - min(p, d)
+    # Measured on a 2-vCPU VM: about 15 us per trial plus 0.33 us per step of
+    # the recurrence.
+    trial_us = 15.0 + min(p, d) / 3.0
+    blocks = _workers.run_blocks(_mtilde_trials, trials, _split_blocks(trials, trial_us),
+                                 d, p, lambda0, master_seed)
     total = 0.0
-    for t in range(trials):
-        a, b = _laguerre_bidiagonal(spawn_rng(master_seed, t), p, d)
-        total += (_ridge_trace_sq(a, b, lambda0) + zeros) / d
+    for block in blocks:  # in trial order, as one loop over the trials would
+        for value in block:
+            total += value
     return total / trials
+

@@ -3,22 +3,61 @@ import os
 import numpy as np
 import pytest
 
+import bvlab._workers as workers
 import bvlab.mlp as mlp_module
+import bvlab.twolayer as twolayer_module
 from bvlab.mlp import MlpParams, loss_and_gradients
 
 needs_fork = pytest.mark.skipif(
     not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
-    reason="training splits over processes only with os.fork and CPU affinity",
+    reason="work splits over processes only with os.fork and CPU affinity",
 )
 
 
+@pytest.fixture(autouse=True)
+def stop_workers_after_test():
+    """Each test starts without pool workers, and none outlives it with the
+    test's patches in its memory."""
+    yield
+    workers.shutdown()
+
+
 def force_processes(monkeypatch, count: int) -> None:
-    """Let training split even a short loop over ``count`` CPUs."""
+    """Let training and the Monte Carlo split even a short loop over ``count`` CPUs.
+
+    Shuts the pool down first, so that its workers are forked with the
+    test's patches in place.
+    """
+    workers.shutdown()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
     monkeypatch.setattr(mlp_module, "_MIN_FORK_STEPS", 0)
+    monkeypatch.setattr(twolayer_module, "_MIN_SPLIT_US", 0.0)
 
 
-def assert_no_child_left() -> None:
+def children() -> dict[int, str]:
+    """State letter of each child process of this one, from ``/proc``."""
+    found = {}
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat", encoding="utf-8") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:  # the process has exited
+            continue
+        if int(fields[1]) == os.getpid():
+            found[int(name)] = fields[0]
+    return found
+
+
+def assert_only_pool_workers() -> None:
+    """Every child is a live pool worker, and shutting the pool down reaps all."""
+    if os.path.isdir("/proc"):
+        live = {worker.pid for worker in workers._pool if worker}
+        states = children()
+        assert set(states) == live
+        assert "Z" not in states.values()
+    workers.shutdown()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

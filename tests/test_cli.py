@@ -24,7 +24,7 @@ from bvlab.cli import (
     run_config,
 )
 from bvlab.theory import theory_point
-from conftest import assert_no_child_left, force_processes, needs_fork
+from conftest import assert_only_pool_workers, force_processes, needs_fork
 
 MLP_PAIRS = {
     "widths": "2,4,8",
@@ -381,7 +381,21 @@ class TestMainEntry:
             out = tmp_path / f"sweep-{processes}.{fmt}"
             assert run_with("mlp-sweep", {"repeats": "3"}, "--format", fmt,
                             "--out", str(out)) == 0
-            assert_no_child_left()
+            assert_only_pool_workers()
+            outputs.append(out.read_bytes())
+        assert outputs == [outputs[0]] * 3
+
+    @needs_fork
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_bytes_equal_at_1_2_3_processes(self, fmt, monkeypatch, tmp_path):
+        outputs = []
+        for processes in (1, 2, 3):
+            force_processes(monkeypatch, processes)
+            out = tmp_path / f"simulate-{processes}.{fmt}"
+            assert run_with("simulate", {"lambda0": "0.5,1", "d": "8", "n": "40",
+                                         "p": "4,12", "trials": "7"},
+                            "--format", fmt, "--out", str(out)) == 0
+            assert_only_pool_workers()
             outputs.append(out.read_bytes())
         assert outputs == [outputs[0]] * 3
 

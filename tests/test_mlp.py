@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bvlab._workers as workers
 import bvlab.mlp as mlp_module
 from bvlab.estimators import SplitPlan, plan_splits
 from bvlab.mlp import (
@@ -25,7 +26,7 @@ from bvlab.mlp import (
     width_sweep,
 )
 from conftest import (
-    assert_no_child_left,
+    assert_only_pool_workers,
     finite_difference_gradients,
     force_processes,
     needs_fork,
@@ -362,6 +363,8 @@ def count_forks(monkeypatch):
 
 
 def forbid_fork(monkeypatch):
+    workers.shutdown()  # a live worker would take a split without a fork
+
     def fork():
         raise AssertionError("os.fork called")
 
@@ -432,8 +435,8 @@ class TestProcessSplit:
             results = width_sweep([1, 3, 37], pool, test, plan, cfg)
             floats = np.array([(r.risk, r.bias_sq, r.variance) for _, r in results])
             runs.append((outputs, floats.tobytes()))
-            assert forks[0] == 3 * (processes - 1)
-            assert_no_child_left()
+            assert forks[0] == processes - 1  # forked once, reused by all 3 widths
+            assert_only_pool_workers()
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
     @pytest.mark.parametrize("first_bad_epoch, epoch", [
@@ -452,31 +455,31 @@ class TestProcessSplit:
                 width_sweep([3], pool, test, plan, cfg)
             assert info.value.epoch == epoch
             messages.append(str(info.value))
-            assert_no_child_left()
+            assert_only_pool_workers()
         lr = cfg.initial_lr / cfg.lr_decay_factor ** (epoch // cfg.lr_decay_every)
         assert messages[0].startswith(f"width 3: non-finite loss at epoch {epoch} (lr={lr:g})")
         assert messages == [messages[0]] * 3
 
-    def test_child_exception_names_block_and_status(self, monkeypatch):
+    def test_child_exception_is_reraised_unchanged(self, monkeypatch):
         def failure():
             raise ValueError("injected in the child")
 
         fail_in(monkeypatch, True, failure)
         force_processes(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match=r"members 3-5 .*\(exit status 1\): "
-                                               r"ValueError: injected in the child"):
+        with pytest.raises(ValueError, match="^injected in the child$"):
             width_sweep([3], *tiny_sweep_setup(pool_n=90, repeats=3))
-        assert_no_child_left()
+        assert_only_pool_workers()
 
     def test_child_killed_by_a_signal(self, monkeypatch):
         fail_in(monkeypatch, True, lambda: os.kill(os.getpid(), signal.SIGKILL))
         force_processes(monkeypatch, 3)
-        with pytest.raises(RuntimeError, match=rf"members 2-3 .*\(killed by signal "
-                                               rf"{int(signal.SIGKILL)}\)"):
+        with pytest.raises(RuntimeError, match=rf"block 1 \(indices 2-3\) .*\(killed by "
+                                               rf"signal {int(signal.SIGKILL)}\)"):
             width_sweep([3], *tiny_sweep_setup(pool_n=90, repeats=3))
-        assert_no_child_left()
+        assert_only_pool_workers()
 
     def test_parent_failure_leaves_no_child(self, monkeypatch):
+        """The workers finish their blocks and stay alive until shut down."""
         def failure():
             raise KeyError("injected in the parent")
 
@@ -484,7 +487,7 @@ class TestProcessSplit:
         force_processes(monkeypatch, 3)
         with pytest.raises(KeyError, match="injected in the parent"):
             width_sweep([3], *tiny_sweep_setup(pool_n=90, repeats=3))
-        assert_no_child_left()
+        assert_only_pool_workers()
 
     def test_one_cpu_stays_in_process(self, monkeypatch):
         force_processes(monkeypatch, 1)

@@ -36,12 +36,23 @@ def test_package_imports_are_public_names():
 
 
 def test_cli_import_loads_no_process_pool_module():
-    """``import bvlab.cli`` stays free of the pool modules' import time."""
+    """``import bvlab.cli`` stays free of the pool modules' import time, and
+    neither it nor a ``bvlab theory`` run starts a worker process."""
     script = (
-        "import sys, bvlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('multiprocessing', 'concurrent', 'subprocess')))"
+        "import os, sys, bvlab.cli, bvlab._workers as workers\n"
+        "def children():\n"
+        "    try:\n"
+        "        os.waitpid(-1, os.WNOHANG)\n"
+        "    except ChildProcessError:\n"
+        "        return 'no child'\n"
+        "    return 'a child'\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent', 'subprocess')), children())\n"
+        "assert bvlab.cli.main(['theory', '--set', 'lambda0=1', '--set', 'gamma=0.1:4:0.1', "
+        "'--out', os.devnull]) == 0\n"
+        "print(children(), workers._pool)\n"
     )
     src = str(Path(bvlab.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[] no child", "no child []"]

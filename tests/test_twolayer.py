@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import bvlab._workers as workers
 import bvlab.twolayer as twolayer
 from bvlab.seeding import spawn_rng
 from bvlab.theory import theory_point
@@ -23,6 +24,7 @@ from bvlab.twolayer import (
     ridge_fit,
     sample_instance,
 )
+from conftest import assert_only_pool_workers, force_processes, needs_fork
 
 
 def ridge_objective(W, X, y, lam, beta):
@@ -358,6 +360,50 @@ class TestMcBiasVariance:
     def test_non_integer_or_zero_trials_named(self, trials):
         with pytest.raises(ValueError, match="trials"):
             mc_bias_variance(ModelDims(d=4, n=8, p=2, lambda0=1.0), trials, 0)
+
+
+@needs_fork
+class TestProcessSplit:
+    """Trials split over 1, 2 and 3 processes give the serial loop's bits."""
+
+    @staticmethod
+    def bits(stats):
+        return np.array([stats.bias_sq, stats.variance, stats.risk]).tobytes()
+
+    @pytest.mark.parametrize("dims", [
+        ModelDims(d=12, n=60, p=9, lambda0=0.3),  # p <= d: the p x p system
+        ModelDims(d=8, n=40, p=12, lambda0=0.3),  # p > d: the d x d system
+    ])
+    def test_mc_bias_variance(self, monkeypatch, dims):
+        runs = []
+        for processes in (1, 2, 3):
+            force_processes(monkeypatch, processes)
+            runs.append(self.bits(mc_bias_variance(dims, 7, 5)))
+            assert len([worker for worker in workers._pool if worker]) == processes - 1
+        assert runs == [runs[0]] * 3
+        assert_only_pool_workers()
+
+    @pytest.mark.parametrize("d, p", [(16, 8), (8, 16)])
+    def test_mc_risk_mtilde(self, monkeypatch, d, p):
+        runs = []
+        for processes in (1, 2, 3):
+            force_processes(monkeypatch, processes)
+            runs.append(np.float64(mc_risk_mtilde(d, p, 0.7, 7, 5)).tobytes())
+            assert len([worker for worker in workers._pool if worker]) == processes - 1
+        assert runs == [runs[0]] * 3
+        assert_only_pool_workers()
+
+    def test_singular_system_raises_the_serial_error(self, monkeypatch):
+        dims = ModelDims(d=6, n=30, p=9, lambda0=0.0)
+        messages = []
+        for processes in (1, 2, 3):
+            force_processes(monkeypatch, processes)
+            with pytest.raises(SingularSystemError) as info:
+                mc_bias_variance(dims, 5, 0)
+            messages.append(str(info.value))
+        assert messages[0].startswith("Gram matrix is singular at lam=0")
+        assert messages == [messages[0]] * 3
+        assert_only_pool_workers()
 
 
 def test_cli_import_loads_no_scipy():
