@@ -8,7 +8,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import bvlab
@@ -43,10 +42,6 @@ REAL_AFFINITY = getattr(os, "sched_getaffinity", None)  # before any test patche
 
 def _cpus(lo, hi):
     return sorted(REAL_AFFINITY(0))
-
-
-def _draws(lo, hi):
-    return np.stack([np.random.default_rng(i).standard_normal(3) for i in range(lo, hi)])
 
 
 def _blas_threads(lo, hi):
@@ -110,11 +105,6 @@ class TestRunBlocks:
             workers.run_blocks(_fail_from, 6, 3, first_bad)
         assert workers.run_blocks(_fail_from, 6, 3, 6) == [2, 2, 2]
         assert_only_pool_workers()
-
-    def test_arrays_come_back_bitwise(self, monkeypatch):
-        force_processes(monkeypatch, 2)
-        serial = np.concatenate(workers.run_blocks(_draws, 4, 1))
-        assert np.concatenate(workers.run_blocks(_draws, 4, 2)).tobytes() == serial.tobytes()
 
     def test_blocks_run_on_one_blas_thread(self, monkeypatch):
         force_processes(monkeypatch, 2)
