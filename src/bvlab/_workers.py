@@ -19,10 +19,18 @@ closes it (:func:`shutdown`, also run at exit) or dies.
 
 Block functions must be module-level functions that pickle by reference
 and are not replaced at run time (a replaced module attribute no longer
-pickles as the function it wraps).  A block must not split again, and the
-pool is not thread-safe; bvlab starts no thread.  A worker runs only NumPy,
-``pickle`` and ``os`` calls, and OpenBLAS stops its thread pool before a
-fork (``pthread_atfork``), so no lock is held by a thread a worker lacks.
+pickles as the function it wraps).  One split at a time uses the pool: a
+split asked for while another runs, from another thread or from inside a
+block (in a worker, too), runs all its blocks in its own thread instead,
+with the same result.  A worker runs only NumPy, ``pickle`` and ``os``
+calls; OpenBLAS stops its thread pool before a fork (``pthread_atfork``),
+and no thread holds the lock of :func:`bvlab._blas.single_blas_thread`
+across one, so a worker never waits on a lock held by a thread it lacks.
+
+A worker lives as long as this process and holds its own copy-on-write
+image of it (70-124 MB peak resident after a benchmark-sized run), so
+counting workers by the affinity mask assumes the mask is the CPU share the
+process really gets; callers also size their splits by their own work.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -47,6 +56,7 @@ class _Worker:
 
 _pool: list[Optional[_Worker]] = []  # slot i runs block i + 1; None when dropped
 _owner = 0  # the process id whose children the workers in _pool are
+_busy = threading.Lock()  # held while a split uses the pool
 
 
 def available() -> int:
@@ -197,12 +207,13 @@ def run_blocks(fn: Callable, count: int, blocks: int, *args) -> list:
     """``[fn(lo, hi, *args) for (lo, hi) in the blocks]``, one block per process.
 
     ``range(count)`` is cut into ``blocks`` contiguous blocks whose sizes
-    differ by at most one (``blocks`` must not exceed ``count``).  With one
-    block, ``fn(0, count, *args)`` runs here as it is.  Otherwise block 0
-    runs here and block ``i`` in worker ``i - 1``, all on one BLAS thread,
-    and the results come back in block order.  Meanwhile this thread is held
-    on the first CPU of its affinity mask; a mask changed by someone else
-    during the call is overwritten when the call restores it.  An exception
+    differ by at most one (``blocks`` must not exceed ``count``).  Every
+    block runs on one BLAS thread.  With one block, or while another split
+    uses the pool, ``[fn(0, count, *args)]`` runs in this thread.  Otherwise
+    block 0 runs here and block ``i`` in worker ``i - 1``, and the results
+    come back in block order.  Meanwhile this thread is held on the first
+    CPU of its affinity mask; a mask changed by someone else during the call
+    is overwritten when the call restores it.  An exception
     in a block is re-raised unchanged; if several blocks fail, the one of the
     lowest block is raised, which is what running the blocks in order would
     raise.
@@ -214,13 +225,22 @@ def run_blocks(fn: Callable, count: int, blocks: int, *args) -> list:
             busy workers are SIGKILLed, reaped and dropped, and the
             interruption propagates.
     """
-    if blocks < 2:
-        return [fn(0, count, *args)]
+    if blocks < 2 or not _busy.acquire(blocking=False):
+        with single_blas_thread():
+            return [fn(0, count, *args)]
+    try:
+        return _split(fn, count, blocks, args)
+    finally:
+        _busy.release()
+
+
+def _split(fn: Callable, count: int, blocks: int, args: tuple) -> list:
+    """:func:`run_blocks` over the pool, with two or more blocks."""
     bounds = [count * i // blocks for i in range(blocks + 1)]
     _claim()
     _pool.extend([None] * (blocks - 1 - len(_pool)))
     outcomes: list[Optional[tuple]] = [None] * blocks
-    busy = []  # slots with a request sent and no reply read yet
+    busy = []  # slots whose request is being or was sent, with no reply read yet
     requests = [pickle.dumps((fn, lo, hi, args), pickle.HIGHEST_PROTOCOL)
                 for lo, hi in zip(bounds[1:], bounds[2:])]
     mask = os.sched_getaffinity(0)
@@ -229,10 +249,11 @@ def run_blocks(fn: Callable, count: int, blocks: int, *args) -> list:
         for slot, request in enumerate(requests):
             if _pool[slot] is None:
                 _pool[slot] = _start(slot, mask)
+            busy.append(slot)  # before the write: a half-sent request kills it
             try:
                 _write(_pool[slot].requests, request)
-                busy.append(slot)
             except OSError:
+                busy.remove(slot)
                 outcomes[slot + 1] = _died(slot, bounds)
         try:
             with single_blas_thread():

@@ -47,12 +47,13 @@ A Monte Carlo trial's system is min(p, d, n) x min(p, d, n); ``m_matrix``
 keeps the p x p system on ``X X^T`` as the direct reference.
 Trials own disjoint RNG streams derived from the master seed and are reduced
 in fixed trial-index order, so results are bit-reproducible for a fixed
-NumPy build regardless of how trials are scheduled.  Both Monte Carlo
-estimators use that: once a call's estimated work passes
-``_MIN_SPLIT_US``, its trials are cut into contiguous blocks, one per CPU of
-the affinity mask, and all but the first block run in the long-lived worker
-processes of :mod:`bvlab._workers`, on one BLAS thread each.  Each block
-returns its per-trial values and this process sums them in trial order, so
+NumPy build regardless of how trials are scheduled.  ``mc_bias_variance``
+uses that: once a call's estimated work passes ``_MIN_SPLIT_US``, its
+trials are cut into contiguous blocks, at most one per CPU of the affinity
+mask, and all but the first block run in the long-lived worker processes of
+:mod:`bvlab._workers`.  Every block, split or not, runs on one BLAS thread
+(``np.vdot`` sums in one part per BLAS thread above 10,000 entries) and
+returns its per-trial values, which this process sums in trial order, so
 the result has the same bits at any number of processes (``taskset -c 0``
 keeps a run in one process).
 """
@@ -258,20 +259,29 @@ def m_tilde(W: np.ndarray, lambda0: float) -> np.ndarray:
 # between back-to-back calls, but after 50 ms of idling 0.5 ms in the median,
 # 2.7 ms at the 90th percentile and up to 8 ms: the time to wake a halted
 # vCPU.  A two-way split of W us saves about W / 2 minus that, so from 5 ms
-# on it gains even at that 90th percentile.  Measured there, 5-trial
-# mc_risk_mtilde calls at d = 512 (about 2.5 ms) split ran slower in the
-# mean, while each 40-trial simulate point of criterion 03 (10-20 ms) ran
-# 1.5-1.6x faster in a benchmark-like sequence.  The first split of a
-# process also forks its workers (4-14 ms at 0-250 MB resident); a call
-# below the threshold never does.
+# on it gains even at that 90th percentile.  Measured there, calls of about
+# 2.5 ms split ran slower in the mean, while each 40-trial simulate point of
+# criterion 03 (10-20 ms) ran 1.5-1.6x faster in a benchmark-like sequence.
+# The first split of a process also forks its workers (4-14 ms at 0-250 MB
+# resident); a call below the threshold never does.
 _MIN_SPLIT_US = 5_000.0
 
 
 def _split_blocks(trials: int, trial_us: float) -> int:
-    """Processes to split ``trials`` trials of about ``trial_us`` each over."""
-    if trials * trial_us < _MIN_SPLIT_US:
-        return 1
-    return min(_workers.available(), trials)
+    """Processes to split ``trials`` trials of about ``trial_us`` each over.
+
+    Going from k - 1 to k processes saves ``W / (k (k - 1))`` of W us of
+    work; a process is added only while that is at least the wake-up cost
+    above, ``_MIN_SPLIT_US / 2``.  So a call splits from ``_MIN_SPLIT_US``
+    on, takes a third process from three times that, and never wakes more
+    processes than its work pays for, however wide the affinity mask.
+    """
+    work = trials * trial_us
+    limit = min(_workers.available(), trials)
+    blocks = 1
+    while blocks < limit and (blocks + 1) * blocks * _MIN_SPLIT_US <= 2.0 * work:
+        blocks += 1
+    return blocks
 
 
 def _bias_variance_trials(
@@ -410,18 +420,6 @@ def _ridge_trace_sq(a: np.ndarray, b: np.ndarray, lambda0: float) -> float:
     return total
 
 
-def _mtilde_trials(
-    lo: int, hi: int, d: int, p: int, lambda0: float, master_seed: int
-) -> list[float]:
-    """``||Mtilde - I||_F^2 / d`` of trials ``lo..hi-1`` of :func:`mc_risk_mtilde`."""
-    zeros = d - min(p, d)
-    values = []
-    for t in range(lo, hi):
-        a, b = _laguerre_bidiagonal(spawn_rng(master_seed, t), p, d)
-        values.append((_ridge_trace_sq(a, b, lambda0) + zeros) / d)
-    return values
-
-
 def mc_risk_mtilde(d: int, p: int, lambda0: float, trials: int, master_seed: int) -> float:
     """Monte Carlo estimate of ``E ||Mtilde - I||_F^2 / d`` over W draws.
 
@@ -434,25 +432,18 @@ def mc_risk_mtilde(d: int, p: int, lambda0: float, trials: int, master_seed: int
     2002; see :func:`_laguerre_bidiagonal`), sums over them in O(m) by the
     twisted-factorization recurrence of :func:`_ridge_trace_sq`, and adds 1
     for each of the other d - m eigenvalues, all zero.  No W is drawn and no
-    BLAS or LAPACK routine runs.  Trials are reduced in trial-index order,
-    also when a long call splits them over processes.
+    BLAS or LAPACK routine runs.  Trials are reduced in trial-index order.
 
     Raises:
         ValueError: if d, p or trials is not a positive integer, or lambda0
             is not finite and positive.
-        RuntimeError: a worker process died.
     """
     for name, value in (("d", d), ("p", p), ("trials", trials)):
         _require_positive_int(name, value)
     _require_positive(lambda0=lambda0)
-    # Measured on a 2-vCPU VM: about 15 us per trial plus 0.33 us per step of
-    # the recurrence.
-    trial_us = 15.0 + min(p, d) / 3.0
-    blocks = _workers.run_blocks(_mtilde_trials, trials, _split_blocks(trials, trial_us),
-                                 d, p, lambda0, master_seed)
+    zeros = d - min(p, d)
     total = 0.0
-    for block in blocks:  # in trial order, as one loop over the trials would
-        for value in block:
-            total += value
+    for t in range(trials):
+        a, b = _laguerre_bidiagonal(spawn_rng(master_seed, t), p, d)
+        total += (_ridge_trace_sq(a, b, lambda0) + zeros) / d
     return total / trials
-

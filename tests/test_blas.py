@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 import bvlab._blas as blas
@@ -75,6 +77,27 @@ class TestSingleBlasThread:
         spy_threads(monkeypatch, mlp_module, "_stacked_loss_and_gradients", fail=True)
         with pytest.raises(RuntimeError, match="injected"):
             width_sweep([3], *sweep_inputs())
+        assert CONTROLS[0]() == two_threads
+
+    def test_count_stays_one_until_the_last_thread_leaves(self, two_threads):
+        entered, leave = threading.Event(), threading.Event()
+
+        def inside():
+            with blas.single_blas_thread():
+                entered.set()
+                leave.wait(30)
+
+        thread = threading.Thread(target=inside, daemon=True)
+        thread.start()
+        try:
+            assert entered.wait(30)
+            with blas.single_blas_thread():
+                pass
+            assert CONTROLS[0]() == 1  # the other thread is still inside
+        finally:
+            leave.set()
+            thread.join(30)
+        assert not thread.is_alive()
         assert CONTROLS[0]() == two_threads
 
     def test_missing_symbol_is_a_no_op(self, monkeypatch, two_threads):

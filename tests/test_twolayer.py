@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import bvlab._blas as _blas
 import bvlab._workers as workers
 import bvlab.twolayer as twolayer
 from bvlab.seeding import spawn_rng
@@ -366,6 +367,14 @@ class TestMcBiasVariance:
 class TestProcessSplit:
     """Trials split over 1, 2 and 3 processes give the serial loop's bits."""
 
+    def test_blocks_grow_with_the_work(self, monkeypatch):
+        """A process is added only while its saving beats a wake-up."""
+        monkeypatch.setattr(workers, "available", lambda: 40)
+        half = twolayer._MIN_SPLIT_US / 2
+        assert [twolayer._split_blocks(40, work * half / 40) for work in
+                (1.9, 2, 5.9, 6, 11.9, 12, 2000)] == [1, 2, 2, 3, 3, 4, 40]
+        assert twolayer._split_blocks(3, 1e9) == 3
+
     @staticmethod
     def bits(stats):
         return np.array([stats.bias_sq, stats.variance, stats.risk]).tobytes()
@@ -383,14 +392,23 @@ class TestProcessSplit:
         assert runs == [runs[0]] * 3
         assert_only_pool_workers()
 
-    @pytest.mark.parametrize("d, p", [(16, 8), (8, 16)])
-    def test_mc_risk_mtilde(self, monkeypatch, d, p):
-        runs = []
-        for processes in (1, 2, 3):
-            force_processes(monkeypatch, processes)
-            runs.append(np.float64(mc_risk_mtilde(d, p, 0.7, 7, 5)).tobytes())
-            assert len([worker for worker in workers._pool if worker]) == processes - 1
-        assert runs == [runs[0]] * 3
+    def test_large_d_trials_have_the_same_bits_unsplit(self, monkeypatch):
+        """Above d = 100, ``np.vdot(M, M)`` sums in one part per BLAS thread,
+        so an unsplit block must run on one BLAS thread as split ones do."""
+        dims = ModelDims(d=104, n=20, p=6, lambda0=0.5)
+        force_processes(monkeypatch, 2)
+        controls = _blas._thread_controls()
+        if controls is not None:
+            before = controls[0]()
+            controls[1](2)
+        try:
+            runs = [sum(workers.run_blocks(twolayer._bias_variance_trials, 4, blocks,
+                                           dims, 3), [])
+                    for blocks in (1, 2)]
+        finally:
+            if controls is not None:
+                controls[1](before)
+        assert runs[0] == runs[1]
         assert_only_pool_workers()
 
     def test_singular_system_raises_the_serial_error(self, monkeypatch):

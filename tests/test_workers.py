@@ -5,6 +5,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -35,6 +36,27 @@ def _interrupted_here(lo, hi, parent):
     if os.getpid() == parent:
         raise KeyboardInterrupt
     time.sleep(60)
+
+
+def _sizes(lo, hi, blob):
+    return os.getpid(), hi - lo, len(blob)
+
+
+def _nested(lo, hi):
+    """A split asked for from inside a block."""
+    return workers.run_blocks(_pids, 2, 2, "inner")
+
+
+_HOLDING = threading.Event()
+_RELEASE = threading.Event()
+
+
+def _hold_the_pool(lo, hi, parent):
+    """This process's block waits for ``_RELEASE``; a worker's returns at once."""
+    if os.getpid() == parent:
+        _HOLDING.set()
+        assert _RELEASE.wait(30)
+    return os.getpid()
 
 
 REAL_AFFINITY = getattr(os, "sched_getaffinity", None)  # before any test patches it
@@ -107,10 +129,13 @@ class TestRunBlocks:
         assert_only_pool_workers()
 
     def test_blocks_run_on_one_blas_thread(self, monkeypatch):
+        """Split or not, so that a block's bits do not depend on the split."""
         force_processes(monkeypatch, 2)
-        assert workers.run_blocks(_blas_threads, 2, 1) == [_blas_threads(0, 0)]
-        if _blas_threads(0, 0) is not None:
-            assert workers.run_blocks(_blas_threads, 2, 2) == [1, 1]
+        before = _blas_threads(0, 0)
+        one = None if before is None else 1
+        assert workers.run_blocks(_blas_threads, 2, 1) == [one]
+        assert workers.run_blocks(_blas_threads, 2, 2) == [one, one]
+        assert _blas_threads(0, 0) == before
 
     def test_killed_worker_fails_one_call(self, monkeypatch):
         force_processes(monkeypatch, 2)
@@ -135,6 +160,86 @@ class TestRunBlocks:
         assert workers._pool == [None, None]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_interrupt_while_sending_a_request_kills_that_worker(self, monkeypatch):
+        """A half-sent request must not stay in the worker's pipe for the next call."""
+        force_processes(monkeypatch, 2)
+        workers.run_blocks(_pids, 2, 2, "x")  # the worker is forked with the real _write
+        (worker,) = workers._pool
+        blob = bytes(1 << 20)  # larger than a pipe's buffer
+        write = workers._write
+
+        def write_a_chunk_then_interrupt(fd, payload):
+            monkeypatch.setattr(workers, "_write", write)
+            os.write(fd, len(payload).to_bytes(workers._HEADER, "little") + payload[:4096])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(workers, "_write", write_a_chunk_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            workers.run_blocks(_sizes, 4, 2, blob)
+        assert workers._pool == [None]
+        assert not os.path.exists(f"/proc/{worker.pid}")
+        here, there = workers.run_blocks(_sizes, 4, 2, blob)
+        assert here == (os.getpid(), 2, len(blob))
+        assert there[1:] == (2, len(blob)) and there[0] not in (os.getpid(), worker.pid)
+        assert_only_pool_workers()
+
+    def test_a_split_inside_a_block_runs_in_that_process(self, monkeypatch):
+        force_processes(monkeypatch, 2)
+        outer = workers.run_blocks(_nested, 2, 2)
+        pids = [{pid for _, _, pid in inner} for (inner,) in outer]
+        assert pids[0] == {os.getpid()}
+        assert len(pids[1]) == 1 and pids[1] != pids[0]
+        assert_only_pool_workers()
+
+    def test_a_second_thread_splits_in_its_own_thread(self, monkeypatch):
+        """One split at a time uses the pool; another thread's runs in that thread."""
+        force_processes(monkeypatch, 2)
+        _HOLDING.clear()
+        _RELEASE.clear()
+        held = []
+        holder = threading.Thread(
+            target=lambda: held.append(workers.run_blocks(_hold_the_pool, 2, 2, os.getpid())),
+            daemon=True)
+        holder.start()
+        try:
+            assert _HOLDING.wait(30)
+            assert workers.run_blocks(_pids, 4, 2, "other") == [_pids(0, 4, "other")]
+        finally:
+            _RELEASE.set()
+            holder.join(30)
+        assert not holder.is_alive()
+        (pids,) = held
+        assert pids[0] == os.getpid() and pids[1] == workers._pool[0].pid
+        assert_only_pool_workers()
+
+    def test_threads_splitting_at_once_each_get_their_own_results(self, monkeypatch):
+        force_processes(monkeypatch, 2)
+        errors = []
+
+        def split_often(tag):
+            try:
+                for call in range(20):
+                    results = workers.run_blocks(_pids, 6, 2, (tag, call))
+                    assert [(i, t) for block in results for i, t, _ in block] == \
+                        [(i, (tag, call)) for i in range(6)]
+            except BaseException as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=split_often, args=(tag,), daemon=True)
+                       for tag in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert_only_pool_workers()
 
     def test_forked_child_does_not_use_the_parents_workers(self, monkeypatch):
         force_processes(monkeypatch, 2)
@@ -184,5 +289,4 @@ def test_handful_of_trials_never_forks(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork called"))
     mc_bias_variance(ModelDims(d=16, n=100, p=8, lambda0=1.0), 5, 0)
-    bvlab.twolayer.mc_risk_mtilde(64, 32, 1.0, 5, 0)
     assert workers._pool == []
