@@ -13,7 +13,9 @@ with only the workers pinned, the parent is woken by a reply on the
 worker's CPU, starts the next split there, and the two share one CPU while
 another idles (on a 2-vCPU VM, a split ``simulate`` call ran no faster than
 one process).  Requests and replies
-are pickles sent over one pipe each way, framed by their length; a worker
+are pickles sent over one pipe each way, framed by their length; a request
+holds the block's bounds, each shared argument whole and only the block's
+own slice of each per-index argument (``sliced``).  A worker
 exits when its request pipe reaches end of file, i.e. when the parent
 closes it (:func:`shutdown`, also run at exit) or dies.
 
@@ -69,10 +71,48 @@ def available() -> int:
     return len(os.sched_getaffinity(0))
 
 
+# Least estimated work, in microseconds of one core, worth splitting over the
+# pool.  On a 2-vCPU VM a pool round trip (a small pickled request, the worker
+# woken from a pipe read, a small reply) took 38 us in the median between
+# back-to-back calls, but after 50 ms of idling 0.5 ms in the median, 2.7 ms
+# at the 90th percentile and up to 8 ms: the time to wake a halted vCPU.  A
+# two-way split of W us saves about W / 2 minus that, so from 5 ms on it gains
+# even at that 90th percentile.  Measured there, Monte Carlo calls of about
+# 2.5 ms split ran slower in the mean, while each 40-trial simulate point of
+# criterion 03 (10-20 ms) ran 1.5-1.6x faster in a benchmark-like sequence.
+# The first split of a process also forks its workers (4-14 ms at 0-250 MB
+# resident); a call below the threshold never does.
+MIN_SPLIT_US = 5_000.0
+
+
+def split_blocks(count: int, unit_us: float) -> int:
+    """Processes to split ``count`` units of about ``unit_us`` each over.
+
+    Going from k - 1 to k processes saves ``W / (k (k - 1))`` of W us of
+    work; a process is added only while that is at least the wake-up cost
+    above, ``MIN_SPLIT_US / 2``.  So a call splits from ``MIN_SPLIT_US`` on,
+    takes a third process from three times that, and never wakes more
+    processes than its work pays for, however wide the affinity mask.  At
+    most ``count`` and :func:`available` processes.
+    """
+    work = count * unit_us
+    limit = min(available(), count)
+    blocks = 1
+    while blocks < limit and (blocks + 1) * blocks * MIN_SPLIT_US <= 2.0 * work:
+        blocks += 1
+    return blocks
+
+
 def _write(fd: int, payload: bytes) -> None:
-    view = memoryview(len(payload).to_bytes(_HEADER, "little") + payload)
-    while view:
-        view = view[os.write(fd, view):]
+    """Send the length header and ``payload`` without joining them: a join
+    would copy every message, 16 MB for a large dump-parse block."""
+    views = [memoryview(len(payload).to_bytes(_HEADER, "little")), memoryview(payload)]
+    while views:
+        done = os.writev(fd, views)
+        while views and done >= len(views[0]):
+            done -= len(views.pop(0))
+        if views:
+            views[0] = views[0][done:]
 
 
 def _read_exact(fd: int, size: int) -> bytearray:
@@ -119,6 +159,7 @@ def _serve(requests: int, replies: int, cpu: int) -> None:
                 return
             try:
                 fn, lo, hi, args = pickle.loads(request)
+                del request  # a large block's bytes are held once, as its arguments
                 outcome = (True, fn(lo, hi, *args))
             except Exception as exc:  # noqa: BLE001 -- re-raised by the parent
                 outcome = (False, exc)
@@ -203,13 +244,17 @@ def shutdown() -> None:
 atexit.register(shutdown)
 
 
-def run_blocks(fn: Callable, count: int, blocks: int, *args) -> list:
-    """``[fn(lo, hi, *args) for (lo, hi) in the blocks]``, one block per process.
+def run_blocks(fn: Callable, count: int, blocks: int, *args, sliced: tuple = ()) -> list:
+    """``[fn(lo, hi, *[s[lo:hi] for s in sliced], *args) for (lo, hi) in the
+    blocks]``, one block per process.
 
     ``range(count)`` is cut into ``blocks`` contiguous blocks whose sizes
-    differ by at most one (``blocks`` must not exceed ``count``).  Every
-    block runs on one BLAS thread.  With one block, or while another split
-    uses the pool, ``[fn(0, count, *args)]`` runs in this thread.  Otherwise
+    differ by at most one (``blocks`` must not exceed ``count``).  The
+    ``sliced`` arguments hold one item per index, and each block receives
+    only its own slice of them, so a worker is sent only its block's items;
+    ``args`` go to every block whole.  Every block runs on one BLAS thread.
+    With one block, or while another split uses the pool, the one block
+    ``(0, count)`` runs in this thread.  Otherwise
     block 0 runs here and block ``i`` in worker ``i - 1``, and the results
     come back in block order.  Meanwhile this thread is held on the first
     CPU of its affinity mask; a mask changed by someone else during the call
@@ -227,21 +272,26 @@ def run_blocks(fn: Callable, count: int, blocks: int, *args) -> list:
     """
     if blocks < 2 or not _busy.acquire(blocking=False):
         with single_blas_thread():
-            return [fn(0, count, *args)]
+            return [fn(0, count, *_block_args(0, count, sliced, args))]
     try:
-        return _split(fn, count, blocks, args)
+        return _split(fn, count, blocks, args, sliced)
     finally:
         _busy.release()
 
 
-def _split(fn: Callable, count: int, blocks: int, args: tuple) -> list:
+def _block_args(lo: int, hi: int, sliced: tuple, args: tuple) -> tuple:
+    return (*[items[lo:hi] for items in sliced], *args)
+
+
+def _split(fn: Callable, count: int, blocks: int, args: tuple, sliced: tuple) -> list:
     """:func:`run_blocks` over the pool, with two or more blocks."""
     bounds = [count * i // blocks for i in range(blocks + 1)]
     _claim()
     _pool.extend([None] * (blocks - 1 - len(_pool)))
     outcomes: list[Optional[tuple]] = [None] * blocks
     busy = []  # slots whose request is being or was sent, with no reply read yet
-    requests = [pickle.dumps((fn, lo, hi, args), pickle.HIGHEST_PROTOCOL)
+    requests = [pickle.dumps((fn, lo, hi, _block_args(lo, hi, sliced, args)),
+                             pickle.HIGHEST_PROTOCOL)
                 for lo, hi in zip(bounds[1:], bounds[2:])]
     mask = os.sched_getaffinity(0)
     _pin({min(mask)})
@@ -257,7 +307,8 @@ def _split(fn: Callable, count: int, blocks: int, args: tuple) -> list:
                 outcomes[slot + 1] = _died(slot, bounds)
         try:
             with single_blas_thread():
-                outcomes[0] = (True, fn(bounds[0], bounds[1], *args))
+                outcomes[0] = (True, fn(bounds[0], bounds[1],
+                                        *_block_args(bounds[0], bounds[1], sliced, args)))
         except Exception as exc:  # noqa: BLE001 -- raised below, in block order
             outcomes[0] = (False, exc)
         for slot in busy[:]:

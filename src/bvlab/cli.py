@@ -316,33 +316,14 @@ def _run_mlp_sweep(cfg: MlpSweepConfig) -> Table:
         n=plan.part_size, noise_p=cfg.noise_p, trials=plan.model_count, seed=cfg.seed)
 
 
-def _load_dump(path: str) -> tuple[np.ndarray, np.ndarray, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        dump = json.load(fh)
-    for field_name in ("test_count", "k", "N", "c", "outputs", "labels", "kind"):
-        if field_name not in dump:
-            raise ConfigError(f"prediction dump is missing field {field_name!r}")
-    kind = dump["kind"]
-    if kind not in ("real", "simplex"):
-        raise ConfigError(f"dump kind must be 'real' or 'simplex', got {kind!r}")
-    shape = (dump["test_count"], dump["k"], dump["N"], dump["c"])
-    outputs = np.asarray(dump["outputs"], dtype=np.float64)
-    if outputs.shape != shape:
-        raise ConfigError(
-            f"dump outputs have shape {outputs.shape}, expected {shape}"
-        )
-    labels = np.asarray(dump["labels"], dtype=np.float64)
-    if labels.shape != (dump["test_count"], dump["c"]):
-        raise ConfigError(
-            f"dump labels have shape {labels.shape}, expected "
-            f"({dump['test_count']}, {dump['c']})"
-        )
-    return outputs, labels, kind
-
-
 def _run_decompose(cfg: DecomposeConfig) -> Table:
+    from . import _dump  # here only: compiling its patterns costs about 3 ms of set-up
+
     started = time.perf_counter()
-    outputs, labels, kind = _load_dump(cfg.input)
+    try:
+        outputs, labels, kind = _dump.read_dump(cfg.input)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if kind == "real":
         result = estimators.estimate_mse_decomposition(
             estimators.PredictionMatrix(outputs), labels

@@ -346,9 +346,10 @@ def _train_stacked(
 
 # Fewest stacked steps (epochs x batches per epoch) worth splitting over the
 # worker pool (bvlab._workers).  On a 2-vCPU VM a split of the benchmark's
-# widths (6 members, 1,024 examples of 16 inputs each) sends about 1 MB of
-# members and data to a worker and its trained weights back, 6-9 ms in all,
-# and the first split of a process also forks the worker (4-14 ms at
+# widths (6 members, 1,024 examples of 16 inputs each) sends a worker its 3
+# members and their data (0.49 MB at width 2, 0.62 MB at width 256) and
+# gets their trained weights back, a round trip under the 6-9 ms that all
+# 6 members' 1 MB took, and the first split of a process also forks the worker (4-14 ms at
 # 0-250 MB resident).  A step costs at least about 0.2 ms, so from 1,000
 # steps (200 ms) on a split loses at most 5% to the round trip, 12% with the
 # fork.  Measured there, 200-epoch widths of 1,600 steps ran 1.2x faster in
@@ -365,16 +366,16 @@ def _train_members(
     members: Sequence[MlpParams],
     inputs: np.ndarray,
     onehot: np.ndarray,
-    cfg: TrainConfig,
     seeds: Sequence[int],
+    cfg: TrainConfig,
 ) -> list[MlpParams] | TrainingDivergedError:
-    """:func:`_train_stacked` on members ``lo..hi-1``.
+    """:func:`_train_stacked` on members ``lo..hi-1``, given as their own slices.
 
     Returns a :class:`TrainingDivergedError` instead of raising it, so that
     :func:`_train_split` can raise the one of the earliest epoch.
     """
     try:
-        return _train_stacked(members[lo:hi], inputs[lo:hi], onehot[lo:hi], cfg, seeds[lo:hi])
+        return _train_stacked(members, inputs, onehot, cfg, seeds)
     except TrainingDivergedError as exc:
         return exc
 
@@ -391,7 +392,8 @@ def _train_split(
     The members are cut into contiguous blocks whose sizes differ by at most
     one, one per CPU of the process's affinity (at most one per member), and
     trained by :func:`bvlab._workers.run_blocks`: the first block here, each
-    other block in a worker process.  Outcomes are merged in member order.
+    other block in a worker process, which is sent only its block's members,
+    data and seeds.  Outcomes are merged in member order.
     Stays in one process with one CPU, without ``os.fork``, or below
     ``_MIN_FORK_STEPS`` steps.
 
@@ -404,8 +406,8 @@ def _train_split(
     steps = cfg.epochs * math.ceil(inputs.shape[1] / cfg.batch_size)
     processes = _workers.available() if steps >= _MIN_FORK_STEPS else 1
     outcomes = _workers.run_blocks(_train_members, len(members),
-                                   min(processes, len(members)),
-                                   members, inputs, onehot, cfg, seeds)
+                                   min(processes, len(members)), cfg,
+                                   sliced=(members, inputs, onehot, seeds))
     diverged = [outcome for outcome in outcomes if isinstance(outcome, TrainingDivergedError)]
     if diverged:
         raise min(diverged, key=lambda exc: exc.epoch)

@@ -48,7 +48,7 @@ keeps the p x p system on ``X X^T`` as the direct reference.
 Trials own disjoint RNG streams derived from the master seed and are reduced
 in fixed trial-index order, so results are bit-reproducible for a fixed
 NumPy build regardless of how trials are scheduled.  ``mc_bias_variance``
-uses that: once a call's estimated work passes ``_MIN_SPLIT_US``, its
+uses that: once a call's estimated work passes ``_workers.MIN_SPLIT_US``, its
 trials are cut into contiguous blocks, at most one per CPU of the affinity
 mask, and all but the first block run in the long-lived worker processes of
 :mod:`bvlab._workers`.  Every block, split or not, runs on one BLAS thread
@@ -252,38 +252,6 @@ def m_tilde(W: np.ndarray, lambda0: float) -> np.ndarray:
     return W.T @ _solve_regularized_gram(W @ W.T, W, lambda0)
 
 
-# Least estimated Monte Carlo work, in microseconds of one core, worth
-# splitting a call's trials over the worker pool (bvlab._workers).  On a
-# 2-vCPU VM a pool round trip (a small pickled request, the worker woken
-# from a pipe read, the per-trial floats sent back) took 38 us in the median
-# between back-to-back calls, but after 50 ms of idling 0.5 ms in the median,
-# 2.7 ms at the 90th percentile and up to 8 ms: the time to wake a halted
-# vCPU.  A two-way split of W us saves about W / 2 minus that, so from 5 ms
-# on it gains even at that 90th percentile.  Measured there, calls of about
-# 2.5 ms split ran slower in the mean, while each 40-trial simulate point of
-# criterion 03 (10-20 ms) ran 1.5-1.6x faster in a benchmark-like sequence.
-# The first split of a process also forks its workers (4-14 ms at 0-250 MB
-# resident); a call below the threshold never does.
-_MIN_SPLIT_US = 5_000.0
-
-
-def _split_blocks(trials: int, trial_us: float) -> int:
-    """Processes to split ``trials`` trials of about ``trial_us`` each over.
-
-    Going from k - 1 to k processes saves ``W / (k (k - 1))`` of W us of
-    work; a process is added only while that is at least the wake-up cost
-    above, ``_MIN_SPLIT_US / 2``.  So a call splits from ``_MIN_SPLIT_US``
-    on, takes a third process from three times that, and never wakes more
-    processes than its work pays for, however wide the affinity mask.
-    """
-    work = trials * trial_us
-    limit = min(_workers.available(), trials)
-    blocks = 1
-    while blocks < limit and (blocks + 1) * blocks * _MIN_SPLIT_US <= 2.0 * work:
-        blocks += 1
-    return blocks
-
-
 def _bias_variance_trials(
     lo: int, hi: int, dims: ModelDims, master_seed: int
 ) -> list[tuple[float, float]]:
@@ -334,7 +302,7 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     # of W, L and M.
     trial_us = 40.0 + d * (dims.p + min(d, dims.n) + d) / 80.0
     blocks = _workers.run_blocks(_bias_variance_trials, trials,
-                                 _split_blocks(trials, trial_us), dims, master_seed)
+                                 _workers.split_blocks(trials, trial_us), dims, master_seed)
     sq_sum = 0.0
     trace_sum = 0.0
     for block in blocks:  # in trial order, as one loop over the trials would

@@ -5,7 +5,6 @@ import pytest
 
 import bvlab._workers as workers
 import bvlab.mlp as mlp_module
-import bvlab.twolayer as twolayer_module
 from bvlab.mlp import MlpParams, loss_and_gradients
 
 needs_fork = pytest.mark.skipif(
@@ -23,7 +22,8 @@ def stop_workers_after_test():
 
 
 def force_processes(monkeypatch, count: int) -> None:
-    """Let training and the Monte Carlo split even a short loop over ``count`` CPUs.
+    """Let training, the Monte Carlo and the dump parse split even a short
+    loop over ``count`` CPUs.
 
     Shuts the pool down first, so that its workers are forked with the
     test's patches in place.
@@ -31,7 +31,7 @@ def force_processes(monkeypatch, count: int) -> None:
     workers.shutdown()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
     monkeypatch.setattr(mlp_module, "_MIN_FORK_STEPS", 0)
-    monkeypatch.setattr(twolayer_module, "_MIN_SPLIT_US", 0.0)
+    monkeypatch.setattr(workers, "MIN_SPLIT_US", 0.0)
 
 
 def children() -> dict[int, str]:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -725,6 +726,50 @@ class TestDecompose:
         }
         dump.write_text(json.dumps(payload))
         assert main(["decompose", "--input", str(dump)]) == 2
+
+
+GOOD_DUMP = {"test_count": 1, "k": 1, "N": 2, "c": 2, "kind": "real",
+             "outputs": [[[[0.5, 2.5], [1.5, 0.25]]]], "labels": [[1.0, 0.0]]}
+SHAPE = r"shape \(1, 1, 2, 2\)"
+
+# Malformed dump text -> (exit status, a pattern the message must hold).
+MALFORMED_DUMPS = {
+    "fractional count": (json.dumps({**GOOD_DUMP, "test_count": 1.0}),
+                         2, "'test_count' must be a positive integer, got 1.0"),
+    "string count": (json.dumps({**GOOD_DUMP, "test_count": "2"}),
+                     2, "'test_count' must be a positive integer, got '2'"),
+    "boolean count": (json.dumps({**GOOD_DUMP, "k": True}), 2, "'k' must be a positive integer"),
+    "zero count": (json.dumps({**GOOD_DUMP, "N": 0}), 2, "'N' must be a positive integer"),
+    "negative count": (json.dumps({**GOOD_DUMP, "c": -2}), 2, "'c' must be a positive integer"),
+    "true entry": (json.dumps(GOOD_DUMP).replace("2.5", "true"), 2, f"outputs .*{SHAPE}"),
+    "null entry": (json.dumps(GOOD_DUMP).replace("0.0", "null"),
+                   2, r"labels .*shape \(1, 2\).*not a number"),
+    "string entry": (json.dumps(GOOD_DUMP).replace("2.5", '"2.5"'), 2, f"outputs .*{SHAPE}"),
+    "empty slot": (json.dumps(GOOD_DUMP).replace("2.5", ""), 2, f"outputs .*{SHAPE}"),
+    "ragged": (json.dumps({**GOOD_DUMP, "outputs": [[[[0.5, 2.5], [1.5]]]]}),
+               2, f"outputs .*{SHAPE}.*nesting or lengths"),
+    "flat": (json.dumps({**GOOD_DUMP, "outputs": [0.5, 2.5, 1.5, 0.25]}),
+             2, f"outputs .*{SHAPE}.*nesting or lengths"),
+    "not an array": (json.dumps({**GOOD_DUMP, "labels": {"0": [1, 0]}}),
+                     2, r"labels .*shape \(1, 2\).*not an array"),
+    "top-level list": (json.dumps([GOOD_DUMP]), 2, "must be a JSON object"),
+    "missing kind": (json.dumps({k: v for k, v in GOOD_DUMP.items() if k != "kind"}),
+                     2, "missing field 'kind'"),
+    "unknown kind": (json.dumps({**GOOD_DUMP, "kind": "logits"}), 2, "kind must be"),
+    "bad extra field": (json.dumps(GOOD_DUMP)[:-1] + ', "note": tru}', 2, "'note'"),
+    "trailing data": (json.dumps(GOOD_DUMP) + " {}", 2, "extra data"),
+    "truncated": (json.dumps(GOOD_DUMP)[:-30], 2, "'outputs' is not closed"),
+    "NaN entry": (json.dumps(GOOD_DUMP).replace("2.5", "NaN"), 1, "non-finite"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_DUMPS))
+def test_malformed_dump_named(name, tmp_path, capsys):
+    text, code, pattern = MALFORMED_DUMPS[name]
+    path = tmp_path / "dump.json"
+    path.write_text(text)
+    assert main(["decompose", "--input", str(path), "--out", str(tmp_path / "o.csv")]) == code
+    assert re.search(pattern, capsys.readouterr().err)
 
 
 def test_readme_key_table_matches_configs():

@@ -35,9 +35,13 @@ def test_package_imports_are_public_names():
             assert alias.name in getattr(module, "__all__", [alias.name]), alias.name
 
 
-def test_cli_import_loads_no_process_pool_module():
+def test_cli_import_loads_no_process_pool_module(tmp_path):
     """``import bvlab.cli`` stays free of the pool modules' import time, and
-    neither it nor a ``bvlab theory`` run starts a worker process."""
+    neither it, nor a ``bvlab theory`` run, nor a ``bvlab decompose`` of a
+    dump below the split threshold starts a worker process."""
+    dump = tmp_path / "dump.json"
+    dump.write_text('{"test_count": 2, "k": 1, "N": 2, "c": 2, "kind": "real", "labels": '
+                    '[[1, 0], [0, 1]], "outputs": [[[[0.5, 0.5], [1, 0]]], [[[0, 1], [2, 1]]]]}')
     script = (
         "import os, sys, bvlab.cli, bvlab._workers as workers\n"
         "def children():\n"
@@ -51,8 +55,11 @@ def test_cli_import_loads_no_process_pool_module():
         "assert bvlab.cli.main(['theory', '--set', 'lambda0=1', '--set', 'gamma=0.1:4:0.1', "
         "'--out', os.devnull]) == 0\n"
         "print(children(), workers._pool)\n"
+        f"assert bvlab.cli.main(['decompose', '--input', {str(dump)!r}, "
+        "'--out', os.devnull]) == 0\n"
+        "print(children(), workers._pool)\n"
     )
     src = str(Path(bvlab.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.splitlines() == ["[] no child", "no child []"]
+    assert done.stdout.splitlines() == ["[] no child", "no child []", "no child []"]

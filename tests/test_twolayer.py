@@ -370,10 +370,10 @@ class TestProcessSplit:
     def test_blocks_grow_with_the_work(self, monkeypatch):
         """A process is added only while its saving beats a wake-up."""
         monkeypatch.setattr(workers, "available", lambda: 40)
-        half = twolayer._MIN_SPLIT_US / 2
-        assert [twolayer._split_blocks(40, work * half / 40) for work in
+        half = workers.MIN_SPLIT_US / 2
+        assert [workers.split_blocks(40, work * half / 40) for work in
                 (1.9, 2, 5.9, 6, 11.9, 12, 2000)] == [1, 2, 2, 3, 3, 4, 40]
-        assert twolayer._split_blocks(3, 1e9) == 3
+        assert workers.split_blocks(3, 1e9) == 3
 
     @staticmethod
     def bits(stats):

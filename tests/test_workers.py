@@ -9,6 +9,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bvlab
@@ -40,6 +41,10 @@ def _interrupted_here(lo, hi, parent):
 
 def _sizes(lo, hi, blob):
     return os.getpid(), hi - lo, len(blob)
+
+
+def _slices(lo, hi, items, rows, shared):
+    return lo, hi, items, rows.tolist(), shared
 
 
 def _nested(lo, hi):
@@ -98,6 +103,16 @@ class TestRunBlocks:
         pids = [{pid for _, _, pid in block} for block in results]
         assert pids[0] == {os.getpid()}
         assert len(set().union(*pids)) == blocks
+        assert_only_pool_workers()
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_each_block_receives_only_its_slice(self, monkeypatch, blocks):
+        force_processes(monkeypatch, blocks)
+        items, rows = list("abcdefg"), np.arange(14).reshape(7, 2)
+        results = workers.run_blocks(_slices, 7, blocks, "shared", sliced=(items, rows))
+        bounds = [7 * i // blocks for i in range(blocks + 1)]
+        assert results == [(lo, hi, items[lo:hi], rows[lo:hi].tolist(), "shared")
+                           for lo, hi in zip(bounds, bounds[1:])]
         assert_only_pool_workers()
 
     def test_each_process_holds_its_own_cpu_during_a_split(self):
