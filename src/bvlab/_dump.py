@@ -19,11 +19,11 @@ An array is read in three steps:
    once checked for empty entries, is parsed by ``np.fromstring``.  Its
    decimal-to-double conversion is CPython's correctly rounded one
    (``PyOS_string_to_double``), the one ``float()``, and so :mod:`json`,
-   uses; so the arrays hold the bits of ``np.asarray(json.load(...))``.  The parser takes JSON's numbers,
-   ``NaN``, ``Infinity`` and ``-Infinity``, and also ``+1``, ``.5``, ``1.``,
-   ``01``, and ``nan``, ``inf`` and ``infinity`` in any case.  The one
-   difference in bits: ``-0`` reads as -0.0, where :mod:`json` reads the
-   integer 0.
+   uses; so the arrays hold the bits of ``np.asarray(json.load(...))``.
+   The parser takes JSON's numbers, ``NaN``, ``Infinity`` and
+   ``-Infinity``, and also ``+1``, ``.5``, ``1.``, ``01``, and ``nan``,
+   ``inf`` and ``infinity`` in any case.  The one difference in bits: ``-0``
+   reads as -0.0, where :mod:`json` reads the integer 0.
 
 Large arrays are parsed over the worker processes of :mod:`bvlab._workers`,
 in contiguous blocks of chunks; a worker is sent only the bytes its chunks

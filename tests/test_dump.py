@@ -65,8 +65,8 @@ def reference(text):
             np.asarray(loaded["labels"], dtype=np.float64), loaded["kind"])
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow,
-                                                                   HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(dumps())
 def test_arrays_equal_json_load_bitwise(tmp_path, case):
     text, _ = case
