@@ -38,6 +38,8 @@ process really gets; callers also size their splits by their own work.
 from __future__ import annotations
 
 import atexit
+import contextlib
+import ctypes
 import os
 import pickle
 import threading
@@ -47,6 +49,8 @@ from typing import Callable, Optional
 from ._blas import single_blas_thread
 
 _HEADER = 8  # bytes of the little-endian length before each pickle
+# Bytes a pipe holds on Linux (else 64 KB); a worker trims after a larger message.
+_LARGE = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -151,12 +155,14 @@ def _serve(requests: int, replies: int, cpu: int) -> None:
     # Ctrl-C reaches the whole process group; the parent alone handles it.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _pin({cpu})
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)  # glibc only
     with single_blas_thread():  # every block a worker runs is part of a split
         while True:
             try:
                 request = _read(requests)
             except EOFError:
                 return
+            size = len(request)
             try:
                 fn, lo, hi, args = pickle.loads(request)
                 del request  # a large block's bytes are held once, as its arguments
@@ -169,14 +175,28 @@ def _serve(requests: int, replies: int, cpu: int) -> None:
                 payload = pickle.dumps((False, RuntimeError(
                     f"block outcome does not pickle: {type(exc).__name__}: {exc}")))
             _write(replies, payload)
+            if trim and max(size, len(payload)) > _LARGE:
+                request = args = outcome = payload = None  # free the block's memory first
+                trim(0)  # glibc keeps a freed heap once a large free raised its mmap threshold
+
+
+def _pipe() -> tuple[int, int]:
+    """``os.pipe()``, holding ``_LARGE`` bytes where Linux lets us ask for that."""
+    read, write = os.pipe()
+    with contextlib.suppress(ImportError, AttributeError, OSError, ValueError):
+        import fcntl  # here only, like signal: used when a worker starts
+
+        with open("/proc/sys/fs/pipe-max-size", encoding="ascii") as fh:  # read, never set
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, min(_LARGE, int(fh.read())))
+    return read, write
 
 
 def _start(slot: int, mask: set[int]) -> _Worker:
     """Fork the worker of ``slot``, pinned to CPU ``slot + 1`` of ``mask``."""
     cpus = sorted(mask)
     cpu = cpus[(slot + 1) % len(cpus)]
-    request_read, request_write = os.pipe()
-    reply_read, reply_write = os.pipe()
+    request_read, request_write = _pipe()
+    reply_read, reply_write = _pipe()
     pid = os.fork()
     if pid == 0:
         code = 1

@@ -15,18 +15,19 @@ table (:data:`Table`) with the columns
 
     mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,wall_time_s
 
-which :func:`emit` writes column by column as CSV (that header, floats at 9
-significant digits, unused columns empty) or as a compact one-line JSON
-array of row objects with the same keys.  The wall_time_s column is filled
-only when ``--timings`` (or ``timings = on``) is set, so default reruns of
-one config produce byte-identical files.  It holds each row's own run time,
-except in theory mode, where the whole grid is evaluated at once and every
-row holds that evaluation's time divided by the number of rows.
+which :func:`emit` writes as CSV (that header, floats at 9 significant digits,
+unused columns empty) or as a compact one-line JSON array of row objects with
+the same keys, rendering a large table over the worker pool.  The wall_time_s
+column is filled only when ``--timings`` (or ``timings = on``) is set, so
+default reruns of one config produce byte-identical files.  It holds each row's
+own run time, except in theory mode, where the whole grid is evaluated at once
+and every row holds that evaluation's time divided by the number of rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import estimators, mlp, theory, twolayer
+from . import _workers, estimators, mlp, theory, twolayer
 
 __all__ = ["ConfigError", "Config", "TheoryConfig", "SimulateConfig", "MlpSweepConfig",
            "DecomposeConfig", "Table", "build_config", "run_config", "emit", "main"]
@@ -271,7 +272,6 @@ def _run_theory(cfg: TheoryConfig) -> Table:
     bias_sq, variance, risk, *_ = theory.closed_form(
         np.asarray(cfg.lambda0)[:, None], np.asarray(cfg.gamma))
     wall_time_s = _clock(cfg, started, risk.size)
-    # Each grid value is one float object, however often it repeats: emit renders it once.
     return _table(
         "theory", lambda0=[lam0 for lam0 in cfg.lambda0 for _ in cfg.gamma],
         gamma=cfg.gamma * len(cfg.lambda0), risk=risk.ravel().tolist(),
@@ -351,6 +351,12 @@ def run_config(config: Config) -> Table:
     return _RUNNERS[type(config)](config)
 
 
+# Rendering time per cell of a per-row column, in microseconds of one core: a
+# benchmark theory table's cell took 0.4-0.6 us as CSV and 0.6-1.0 us as JSON
+# on a 2-vCPU VM, so a table of five per-row columns splits from 2,000 rows.
+_US_PER_CELL = 0.5
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -372,14 +378,18 @@ def _json_floats(values: list[float]) -> list[str]:
 
 
 def _render(column: list, cell, floats) -> list[str]:
-    """The column's cell texts; each distinct object in it is rendered once."""
-    distinct = dict(zip(map(id, column), column))
-    values = column if len(distinct) == len(column) else list(distinct.values())
-    texts = floats(values) if set(map(type, values)) == {float} else list(map(cell, values))
-    if values is column:
-        return texts
-    text_of = dict(zip(distinct, texts))
-    return list(map(text_of.__getitem__, map(id, column)))
+    """The column's cell texts, by ``floats`` when it holds floats alone."""
+    return floats(column) if set(map(type, column)) == {float} else list(map(cell, column))
+
+
+def _render_rows(lo: int, hi: int, *columns_and_args) -> str:
+    """Rows ``lo..hi`` of :func:`emit`'s table, joined by ``between``; a row is
+    ``texts[0] cells[0] texts[1] ... texts[-1]``, its cells from ``columns``."""
+    *columns, texts, cell, floats, between = columns_and_args
+    streams = [s for text, column in zip(texts, columns)
+               for s in (itertools.repeat(text), _render(column, cell, floats))]
+    streams.append([texts[-1] + between] * (hi - lo - 1) + [texts[-1]])
+    return "".join(itertools.chain.from_iterable(zip(*streams)))
 
 
 def emit(table: Table, path: Optional[str], emit_format: str) -> None:
@@ -388,8 +398,8 @@ def emit(table: Table, path: Optional[str], emit_format: str) -> None:
     CSV has a header of the table's column names and floats at 9 significant
     digits.  JSON is, byte for byte, what :func:`json.dumps` writes for the
     list of row objects: one line, floats at full precision, so it loads back
-    to the table exactly.  Each column is rendered in one pass, a shared one
-    once, and one join interleaves the cells into rows.
+    to the table exactly.  A large table's rows are rendered in contiguous
+    blocks over the worker pool; the bytes do not depend on the split.
     """
     names = list(table)
     if emit_format == "csv":
@@ -407,25 +417,24 @@ def emit(table: Table, path: Optional[str], emit_format: str) -> None:
     rows = lengths.pop() if lengths else 1
     if rows == 0:
         raise ValueError("no records to emit")
-    # A row is texts[0] cells[0] texts[1] ... cells[-1] texts[-1].
-    texts, cells = [""], []
+    texts, columns = [""], []
     for key, column in zip(keys, table.values()):
         texts[-1] += key
         if isinstance(column, list):
-            cells.append(_render(column, cell, floats))
+            columns.append(column)
             texts.append("")
         else:
             texts[-1] += cell(column)
-    last = texts.pop()
-    streams = [s for text, column in zip(texts, cells)
-               for s in (itertools.repeat(text, rows), column)]
-    streams.append([last + between] * (rows - 1) + [last + tail])
-    payload = head + "".join(itertools.chain.from_iterable(zip(*streams)))
-    if path is None:
-        sys.stdout.write(payload)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+    fragments = _workers.run_blocks(
+        _render_rows, rows, _workers.split_blocks(rows, len(columns) * _US_PER_CELL),
+        texts, cell, floats, between, sliced=tuple(columns))
+    parts = [head]
+    for fragment in fragments:
+        parts += (fragment, between)
+    parts[-1] = tail
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="")) as fh:
+        fh.writelines(parts)
 
 
 @functools.lru_cache(maxsize=None)

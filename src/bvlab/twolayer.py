@@ -178,7 +178,8 @@ def _solve_regularized_gram(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np
     itself is LAPACK's ``gesv``.
     """
     _require_positive(lam=lam, zero_ok=True)
-    a = 0.5 * (gram + gram.T)
+    a = gram + gram.T
+    a *= 0.5
     if lam == 0.0:
         cond = np.linalg.cond(a)
         if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
@@ -187,7 +188,7 @@ def _solve_regularized_gram(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np
                 f">= {CONDITION_LIMIT:.0e}); use lam > 0"
             )
     else:
-        a[np.diag_indices_from(a)] += lam
+        a.flat[::a.shape[0] + 1] += lam  # the diagonal
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:

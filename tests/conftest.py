@@ -22,8 +22,9 @@ def stop_workers_after_test():
 
 
 def force_processes(monkeypatch, count: int) -> None:
-    """Let training, the Monte Carlo and the dump parse split even a short
-    loop over ``count`` CPUs.
+    """Let training, the Monte Carlo, the dump parse and the output
+    rendering split even a short loop (a table of two rows) over ``count``
+    CPUs.
 
     Shuts the pool down first, so that its workers are forked with the
     test's patches in place.

@@ -3,16 +3,18 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import bvlab._workers as workers
 import bvlab.cli as cli
 import bvlab.twolayer as twolayer
 from bvlab.cli import (
@@ -300,21 +302,37 @@ class TestEmit:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_row_wise_reference(self, data):
-        """Against the row-by-row renderings the column-wise emitter replaced:
-        json.dumps of the row objects, and 9-digit CSV cells."""
-        names = CSV_HEADER.split(",")
-        rows = data.draw(st.integers(1, 6))
-        table = {name: data.draw(column_strategy(rows)) for name in names}
-        if not any(isinstance(column, list) for column in table.values()):
-            rows = 1  # a table of shared values alone has one row
-        grid = [[column[i] if isinstance(column, list) else column
-                 for column in table.values()] for i in range(rows)]
-        json_text = emitted(table, "json")
-        assert json_text == json.dumps([dict(zip(names, row)) for row in grid]) + "\n"
-        assert [[repr(value) for value in row.values()] for row in json.loads(json_text)] == [
-            [repr(value) for value in row] for row in grid]
-        csv_lines = [",".join(names)] + [",".join(map(csv_cell, row)) for row in grid]
-        assert emitted(table, "csv") == "\n".join(csv_lines) + "\n"
+        check_against_row_wise_reference(data)
+
+    @needs_fork
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_split_matches_row_wise_reference(self, monkeypatch, data):
+        """The same tables, their rows rendered in two processes."""
+        force_processes(monkeypatch, 2)
+        rows = check_against_row_wise_reference(data)
+        assert len(workers._pool) == (rows > 1)  # a table of two rows or more split
+
+
+def check_against_row_wise_reference(data) -> int:
+    """Against the row-by-row renderings the column-wise emitter replaced:
+    json.dumps of the row objects, and 9-digit CSV cells.  Returns the
+    number of rows of the drawn table."""
+    names = CSV_HEADER.split(",")
+    rows = data.draw(st.integers(1, 6))
+    table = {name: data.draw(column_strategy(rows)) for name in names}
+    if not any(isinstance(column, list) for column in table.values()):
+        rows = 1  # a table of shared values alone has one row
+    grid = [[column[i] if isinstance(column, list) else column
+             for column in table.values()] for i in range(rows)]
+    json_text = emitted(table, "json")
+    assert json_text == json.dumps([dict(zip(names, row)) for row in grid]) + "\n"
+    assert [[repr(value) for value in row.values()] for row in json.loads(json_text)] == [
+        [repr(value) for value in row] for row in grid]
+    csv_lines = [",".join(names)] + [",".join(map(csv_cell, row)) for row in grid]
+    assert emitted(table, "csv") == "\n".join(csv_lines) + "\n"
+    return rows
 
 
 # Floats include NaN, both infinities, -0.0 and subnormals.
@@ -399,6 +417,36 @@ class TestMainEntry:
             assert_only_pool_workers()
             outputs.append(out.read_bytes())
         assert outputs == [outputs[0]] * 3
+
+    @needs_fork
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_theory_bytes_equal_at_1_2_3_processes(self, fmt, monkeypatch, tmp_path):
+        outputs = []
+        for processes in (1, 2, 3):
+            force_processes(monkeypatch, processes)
+            out = tmp_path / f"theory-{processes}.{fmt}"
+            assert run_with("theory", {"lambda0": "1e-12,0.5,1", "gamma": "0.25:2:0.25"},
+                            "--format", fmt, "--out", str(out)) == 0
+            assert len(workers._pool) == processes - 1  # its 24 rows were split
+            assert_only_pool_workers()
+            outputs.append(out.read_bytes())
+        assert outputs == [outputs[0]] * 3
+
+    @needs_fork
+    def test_small_tables_render_in_one_process(self, monkeypatch, tmp_path):
+        """A 14-row simulate table and the 21 x 33 edge grid start no worker."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork called"))
+        edges = {"lambda0": ",".join(map(repr, np.logspace(-12, 8, 21).tolist())),
+                 "gamma": ",".join(map(repr, np.logspace(-8, 8, 33).tolist()))}
+        for fmt in ("csv", "json"):
+            assert run_with("simulate", {"lambda0": "0.1,1", "d": "8", "n": "40",
+                                         "p": "1:7:1"}, "--format", fmt,
+                            "--out", str(tmp_path / f"simulate.{fmt}")) == 0
+            assert run_with("theory", edges, "--format", fmt,
+                            "--out", str(tmp_path / f"edge.{fmt}")) == 0
+        assert len((tmp_path / "edge.csv").read_text().splitlines()) == 1 + 21 * 33
+        assert workers._pool == []
 
     def test_mlp_sweep_output_pinned(self, tmp_path):
         """Exact risk/bias/variance floats of a small sweep.

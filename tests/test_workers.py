@@ -47,6 +47,29 @@ def _slices(lo, hi, items, rows, shared):
     return lo, hi, items, rows.tolist(), shared
 
 
+_PINNED = []
+
+
+def _churn(lo, hi, parent, blob):
+    """In a worker: grow the heap by 64 MB between live allocations, then free
+    it.  ``blob`` only makes the request large."""
+    if os.getpid() != parent:
+        large = np.ones(1 << 19)
+        del large  # freeing a 4 MB buffer raises glibc's mmap threshold
+        chunks = []
+        for _ in range(64):
+            chunks.append(np.ones(1 << 17))  # 1 MB, now from the heap
+            _PINNED.append(np.ones(1 << 13))  # 64 KB kept between them: no free top to cut
+        del chunks
+    return hi - lo
+
+
+def _resident_mb(pid):
+    with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+        line = next(line for line in fh if line.startswith("VmRSS:"))
+    return int(line.split()[1]) / 1024
+
+
 def _nested(lo, hi):
     """A split asked for from inside a block."""
     return workers.run_blocks(_pids, 2, 2, "inner")
@@ -277,6 +300,29 @@ class TestRunBlocks:
         assert workers._pool == [worker]
         assert workers.run_blocks(_pids, 2, 2, "x")[1][0][2] == worker.pid
         assert_only_pool_workers()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_worker_returns_freed_heap_after_a_large_block(self, monkeypatch):
+        """Without a trim the worker keeps about 64 MB more resident."""
+        force_processes(monkeypatch, 2)
+        workers.run_blocks(_pids, 2, 2, "x")
+        (worker,) = workers._pool
+        before = _resident_mb(worker.pid)
+        assert workers.run_blocks(_churn, 2, 2, os.getpid(), bytes(2 << 20)) == [1, 1]
+        workers.run_blocks(_pids, 2, 2, "x")  # requests are serial: the trim has run
+        assert _resident_mb(worker.pid) < before + 16
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux pipe sizes")
+    def test_worker_pipes_hold_a_large_request(self, monkeypatch):
+        import fcntl
+
+        force_processes(monkeypatch, 2)
+        workers.run_blocks(_pids, 2, 2, "x")
+        (worker,) = workers._pool
+        with open("/proc/sys/fs/pipe-max-size", encoding="ascii") as fh:
+            expected = min(workers._LARGE, int(fh.read()))
+        for fd in (worker.requests, worker.replies):
+            assert fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) == expected
 
     def test_workers_exit_with_the_process(self):
         """A process that ran a split ``simulate`` leaves no worker behind."""
