@@ -2,11 +2,15 @@
 
 Every randomized routine in this package draws its entropy from a single
 master seed plus an integer index path (trial number, repeat, part, width,
-...).  The derivation below is a SplitMix64-style chain: the master seed is
-advanced by the golden-ratio increment once per path element and the element
-is folded in through the SplitMix64 finalizer.  Identical (master_seed, path)
-always yields the identical 64-bit seed, and nearby paths land on unrelated
-streams.
+...).  The derivation below is a SplitMix64-style chain: before each path
+element, the state is advanced by the golden-ratio increment and mixed
+through the SplitMix64 finalizer; the element is then XORed in, and a last
+finalizer step gives the seed.  Mixing before the fold matters: XORing an
+index into ``master + golden`` unmixed makes ``(m, t)`` and ``(m + 1, t ^ 1)``
+the same seed for every odd m, so adjacent master seeds would share their
+trial streams.  Identical (master_seed, path) always yields the identical
+64-bit seed, nearby paths and nearby master seeds land on unrelated streams,
+and an empty path gives ``finalize(master_seed)``.
 """
 
 from __future__ import annotations
@@ -37,8 +41,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
     """
     state = master_seed & _MASK64
     for index in path:
-        state = (state + _GOLDEN) & _MASK64
-        state = _finalize(state ^ (index & _MASK64))
+        state = _finalize(state + _GOLDEN) ^ (index & _MASK64)
     return _finalize(state)
 
 

@@ -21,16 +21,24 @@ Hence ``bias_sq = (1 - E tr(M) / d)^2`` and each draw needs only the two
 scalars ``tr(M)`` and ``||M||^2``.
 
 M depends on the data only through the second moment ``S = X X^T``, which
-follows the Wishart law ``W_d(n, I/d)``.  Each Monte Carlo trial therefore
-draws W and then a factor L of S with ``S = L L^T``: the lower-trapezoidal
-Bartlett factor (Bartlett 1933; Odell & Feiveson 1966), d x k with
-``k = min(d, n)``, built from its k(k-1)/2 + (d-k)k nonzero normals and k
-chi-square draws rather than the d * n normals of X; n < d gives the
-singular Wishart law by the same construction.  With ``B = W L``, M is
-``W^T (B B^T + lam I)^-1 B L^T``, or by the push-through identity
-``(W^T B) (B^T B + lam I)^-1 L^T``, whichever system is smaller.  The inner
-expectations over (x, theta) are already integrated out, which cuts both
-cost and estimator noise.  The data-free limit matrix
+follows the Wishart law ``W_d(n, I/d)``, and on W only through ``W^T W``
+(push-through: ``M = W^T W (S W^T W + lam I)^-1 S``).  Each Monte Carlo
+trial therefore draws neither W nor X, only lower-trapezoidal Bartlett
+factors (Bartlett 1933; Odell & Feiveson 1966): the normals below the
+diagonal and chi-square draws on it (see ``_wishart_factor``).  For the
+first layer, with p <= d, ``W = [T 0] Q`` where T is the p x p factor of
+``W W^T ~ W_p(d, I/d)`` and Q is Haar-orthogonal and independent of T; S
+is rotation-invariant, so Q is absorbed into it and ``[T 0]`` stands in for
+W.  With p > d, ``W^T W ~ W_d(p, I/d) = R R^T`` and the d x d ``R^T``
+stands in for W.  For the data, the stand-in reads only S's first min(p, d)
+rows, which the first ``k = min(p, d, n)`` columns of S's d x min(d, n)
+factor L fix (``S = L L^T``; n < d gives the singular Wishart law by the
+same construction), so only those are drawn.  None of this changes the
+joint law of ``(||M||^2, tr M)``.  With ``B = W L``, M is ``W^T (B B^T +
+lam I)^-1 B L^T``, or by the push-through identity ``(W^T B) (B^T B + lam
+I)^-1 L^T``, whichever system is smaller.
+The inner expectations over (x, theta) are already integrated out, which
+cuts both cost and estimator noise.  The data-free limit matrix
 ``Mtilde = W^T (W W^T + lambda0 I)^-1 W`` is also provided, together with a
 Monte Carlo estimate of its risk for comparison against the closed-form
 spectral average.  That estimate never forms W: the nonzero spectrum of
@@ -92,7 +100,7 @@ class SingularSystemError(np.linalg.LinAlgError):
 
 
 def _require_positive_int(name: str, value: object) -> None:
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -154,21 +162,42 @@ def _bartlett_slots(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows * k + cols, np.arange(k) * (k + 1)
 
 
-def _wishart_factor(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    """Draw L (d x min(d, n)) with ``L L^T`` distributed as ``X X^T``, without X.
+def _wishart_factor(
+    rng: np.random.Generator, d: int, n: int, k: int | None = None, scale: float | None = None
+) -> np.ndarray:
+    """Draw L (d x k) with ``L L^T`` distributed as ``X X^T``, without X.
 
-    X has n i.i.d. N(0, I/d) columns.  Bartlett decomposition: ``L = A / sqrt(d)``
-    with A lower-trapezoidal, N(0, 1) strictly below the diagonal and
-    ``A_ii = sqrt(chi2(n - i))`` on it; only the nonzero entries are drawn.
-    For n < d, L has n columns and ``L L^T`` has rank n, as ``X X^T`` does.
+    X has n i.i.d. N(0, scale^2 I) columns, ``scale = 1/sqrt(d)`` by default.
+    Bartlett decomposition: ``L = scale * A`` with A lower-trapezoidal,
+    N(0, 1) strictly below the diagonal and ``A_ii = sqrt(chi2(n - i))`` on
+    it; only the nonzero entries are drawn.  For n < d, the full factor has
+    n columns and ``L L^T`` has rank n, as ``X X^T`` does.  ``k <= min(d,
+    n)`` (default ``min(d, n)``) keeps only the first k columns, which fix
+    the first k rows of ``L L^T``; they are drawn exactly as in the full
+    factor.
     """
-    k = min(d, n)
+    k = min(d, n) if k is None else k
+    scale = 1.0 / math.sqrt(d) if scale is None else scale
     lower, diagonal = _bartlett_slots(d, k)
-    scale = 1.0 / math.sqrt(d)
     L = np.zeros(d * k)
     L[lower] = rng.standard_normal(lower.size) * scale
     L[diagonal] = np.sqrt(rng.chisquare(n - np.arange(k))) * scale
     return L.reshape(d, k)
+
+
+def _first_layer(rng: np.random.Generator, p: int, d: int) -> np.ndarray:
+    """A stand-in for W (p x d, N(0, 1/d) entries) drawn from W's Gram factor.
+
+    p <= d: the p x d ``[T 0]``, T the Bartlett factor of ``W W^T ~ W_p(d,
+    I/d)``; p > d: the d x d ``R^T`` with ``R R^T = W^T W ~ W_d(p, I/d)``.
+    Either leaves the law of ``(||M||^2, tr M)`` unchanged (see the module
+    docstring); ``R^T``'s ridge system is regular even where W's is not.
+    """
+    if p > d:
+        return _wishart_factor(rng, d, p).T
+    W = np.zeros((p, d))
+    W[:, :p] = _wishart_factor(rng, p, d, scale=1.0 / math.sqrt(d))
+    return W
 
 
 def _solve_regularized_gram(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
@@ -215,6 +244,12 @@ def _m_from_gram(W: np.ndarray, second_moment: np.ndarray, lam: float) -> np.nda
     return W.T @ _solve_regularized_gram(ws @ W.T, ws, lam)
 
 
+def _rank_deficient(rank: int, p: int) -> SingularSystemError:
+    return SingularSystemError(
+        f"Gram matrix is singular at lam=0 (rank <= {rank} < p = {p}); use lam > 0"
+    )
+
+
 def _m_from_factor(W: np.ndarray, L: np.ndarray, lam: float) -> np.ndarray:
     """``_m_from_gram(W, L L^T, lam)`` through the smaller of two ridge systems.
 
@@ -227,9 +262,7 @@ def _m_from_factor(W: np.ndarray, L: np.ndarray, lam: float) -> np.ndarray:
     if p <= k:
         return W.T @ (_solve_regularized_gram(B @ B.T, B, lam) @ L.T)
     if lam == 0.0:
-        raise SingularSystemError(
-            f"Gram matrix is singular at lam=0 (rank <= {k} < p = {p}); use lam > 0"
-        )
+        raise _rank_deficient(k, p)
     return (W.T @ B) @ _solve_regularized_gram(B.T @ B, L.T, lam)
 
 
@@ -257,13 +290,13 @@ def _bias_variance_trials(
     lo: int, hi: int, dims: ModelDims, master_seed: int
 ) -> list[tuple[float, float]]:
     """``(||M||_F^2, tr M)`` of trials ``lo..hi-1`` of :func:`mc_bias_variance`."""
-    d = dims.d
-    scale = 1.0 / math.sqrt(d)
+    d, n, p = dims.d, dims.n, dims.p
+    k = min(d, n, p)  # columns of X X^T's factor that M reads
     stats = []
     for t in range(lo, hi):
         rng = spawn_rng(master_seed, t)
-        W = rng.standard_normal((dims.p, d)) * scale
-        M = _m_from_factor(W, _wishart_factor(rng, d, dims.n), dims.lam)
+        W = _first_layer(rng, p, d)
+        M = _m_from_factor(W, _wishart_factor(rng, d, n, k), dims.lam)
         stats.append((float(np.vdot(M, M)), float(np.trace(M))))
     return stats
 
@@ -271,9 +304,13 @@ def _bias_variance_trials(
 def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVarianceRisk:
     """Monte Carlo bias/variance/risk over fresh (W, X) draws.
 
-    Each trial draws W, then a factor L of the second moment ``S = X X^T``
-    straight from its Wishart law (see :func:`_wishart_factor`), and solves
-    the smaller ridge system (see :func:`_m_from_factor`).  Sums ``tr(M)``
+    Each trial draws a stand-in for W from the Bartlett factor of W's Gram
+    matrix (see :func:`_first_layer`), then the columns of a factor L of the
+    second moment ``S = X X^T`` that it reads, straight from their Wishart
+    law (see :func:`_wishart_factor`), and solves the smaller ridge system
+    (see :func:`_m_from_factor`).  At d = 64, n = 6400 that is 504, 4,032
+    and 4,032 normals for p = 8, 64 and 128, against 2,528, 6,112 and
+    10,208 for W and the full L.  Sums ``tr(M)``
     and ``||M||_F^2`` in trial-index order (trial ``t`` uses the RNG stream
     derived from ``(master_seed, t)``), then forms
 
@@ -292,16 +329,26 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     Raises:
         ValueError: if ``trials`` is not an integer >= 2 (the variance is
             undefined for one trial).
-        SingularSystemError: the first trial whose system is singular.
+        SingularSystemError: at lam = 0 with p > min(d, n), before any trial
+            (the stand-in's system is regular where W's is not), else the
+            first trial whose system is singular.
         RuntimeError: a worker process died.
     """
     _require_positive_int("trials", trials)
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     d = dims.d
-    # Measured on a 2-vCPU VM: about 40 us per trial plus 12.5 ns per entry
-    # of W, L and M.
-    trial_us = 40.0 + d * (dims.p + min(d, dims.n) + d) / 80.0
+    if dims.lam == 0.0 and dims.p > min(d, dims.n):
+        # The trials' stand-in first layer hides this: R^T's system is regular.
+        raise _rank_deficient(min(d, dims.n), dims.p)
+    # Medians per trial on a 2-vCPU VM (9 runs of 40 trials, one BLAS thread):
+    # at d = 64, n = 6400, 136, 137, 148, 228, 356, 431 and 405 us for p = 8,
+    # 16, 32, 48, 64, 96 and 128; 64-101 us at d = 8; 676 and 1,536 us at
+    # d = p = 128 (n = 64, 12,800); 1,880 and 4,074 us at d = p = 192 (n = 96,
+    # 19,200).  This fit, a fixed cost and the ridge system's p'(d + k)^2
+    # flops with p' = min(p, d) rows, reads 0.64-1.56x of those medians.
+    rows = min(dims.p, d)
+    trial_us = 60.0 + d + rows * (d + min(rows, dims.n)) ** 2 / 7000.0
     blocks = _workers.run_blocks(_bias_variance_trials, trials,
                                  _workers.split_blocks(trials, trial_us), dims, master_seed)
     sq_sum = 0.0

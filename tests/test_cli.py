@@ -241,8 +241,9 @@ class TestRunConfig:
         )
         table = run_config(build_config("simulate", self.SIMULATE_PAIRS))
         rng = np.random.default_rng(5)
-        W = rng.standard_normal((4, 6)) / math.sqrt(6)
-        M = twolayer._m_from_factor(W, twolayer._wishart_factor(rng, 6, 30), 5.0)
+        W = np.zeros((4, 6))  # [T 0]: the Bartlett factor of W W^T ~ W_4(6, I/6)
+        W[:, :4] = twolayer._wishart_factor(rng, 4, 6, 4, 1 / math.sqrt(6))
+        M = twolayer._m_from_factor(W, twolayer._wishart_factor(rng, 6, 30, 4), 5.0)
         centered = M - np.trace(M) / 6 * np.eye(6)
         (variance,) = table["variance"]
         assert_allclose(variance, np.vdot(centered, centered) / 6, rtol=1e-12)
@@ -467,9 +468,9 @@ class TestMainEntry:
                      "--out", str(out)]) == 0
         rows = json.loads(out.read_text())
         assert [(r["width"], r["risk"], r["bias_sq"], r["variance"]) for r in rows] == [
-            (2, 0.4934143717392908, 0.34572950174065264, 0.14768486999863817),
-            (5, 0.373513016304192, 0.27729732301901944, 0.09621569328517252),
-            (16, 0.29167923014371355, 0.25648312853704003, 0.0351961016066735),
+            (2, 0.48898282134334115, 0.3816389781442907, 0.10734384319905044),
+            (5, 0.29545276583316227, 0.25261744760872834, 0.04283531822443393),
+            (16, 0.27812330252351897, 0.24106750259192633, 0.03705579993159265),
         ]
 
     def test_timings_flag_fills_column(self, tmp_path):
@@ -599,8 +600,10 @@ GOLDEN_RUNS = {
 # Output bytes of GOLDEN_RUNS, recorded with the row-by-row emitter that the
 # column-wise one replaced; the noise_p = 0 sweep was recorded when its
 # pool still skipped label-noise injection.  The simulate bias_sq and variance
-# cells were re-recorded when the Monte Carlo bias became (1 - mean tr(M)/d)^2;
-# its risk cells are unchanged.
+# cells were re-recorded when the Monte Carlo bias became (1 - mean tr(M)/d)^2.
+# The simulate and mlp-sweep cells were re-recorded again when seed derivation
+# began mixing the state before each index and the Monte Carlo trials began
+# drawing the first layer's Gram factor instead of W.
 GOLDEN = {
     ("theory", "csv"): (
         'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
@@ -632,60 +635,60 @@ GOLDEN = {
     ("simulate", "csv"): (
         'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
         'wall_time_s\n'
-        'simulate,0.1,0.5,,4,16,2,,3,7,0.553652935,0.354623216,0.199029719,\n'
-        'simulate,0.1,1.5,,4,16,6,,3,7,0.086145545,0.0380978643,0.0480476807,\n'
-        'simulate,1,0.5,,4,16,2,,3,7,0.717787658,0.643562445,0.0742252128,\n'
-        'simulate,1,1.5,,4,16,6,,3,7,0.402283893,0.325805802,0.0764780918,\n'
+        'simulate,0.1,0.5,,4,16,2,,3,7,0.557491992,0.330612125,0.226879867,\n'
+        'simulate,0.1,1.5,,4,16,6,,3,7,0.108972978,0.0366873773,0.0722856006,\n'
+        'simulate,1,0.5,,4,16,2,,3,7,0.688156907,0.59882719,0.0893297174,\n'
+        'simulate,1,1.5,,4,16,6,,3,7,0.380831755,0.279991184,0.100840572,\n'
     ),
     ("simulate", "json"): (
         '[{"mode": "simulate", "lambda0": 0.1, "gamma": 0.5, "width": null, '
         '"d": 4, "n": 16, "p": 2, "noise_p": null, "trials": 3, "seed": 7, '
-        '"risk": 0.5536529351477328, "bias_sq": 0.3546232157656868, '
-        '"variance": 0.19902971938204606, "wall_time_s": null}, '
+        '"risk": 0.5574919919386457, "bias_sq": 0.33061212470937384, '
+        '"variance": 0.2268798672292719, "wall_time_s": null}, '
         '{"mode": "simulate", "lambda0": 0.1, "gamma": 1.5, "width": null, "d": 4, '
         '"n": 16, "p": 6, "noise_p": null, "trials": 3, "seed": 7, '
-        '"risk": 0.08614554502936222, "bias_sq": 0.03809786432636993, '
-        '"variance": 0.04804768070299229, "wall_time_s": null}, '
+        '"risk": 0.1089729778780647, "bias_sq": 0.036687377296661376, '
+        '"variance": 0.07228560058140332, "wall_time_s": null}, '
         '{"mode": "simulate", "lambda0": 1.0, "gamma": 0.5, "width": null, "d": 4, '
         '"n": 16, "p": 2, "noise_p": null, "trials": 3, "seed": 7, '
-        '"risk": 0.7177876577826687, "bias_sq": 0.643562444936713, '
-        '"variance": 0.07422521284595573, "wall_time_s": null}, '
+        '"risk": 0.6881569069654311, "bias_sq": 0.5988271895928603, '
+        '"variance": 0.08932971737257078, "wall_time_s": null}, '
         '{"mode": "simulate", "lambda0": 1.0, "gamma": 1.5, "width": null, "d": 4, '
         '"n": 16, "p": 6, "noise_p": null, "trials": 3, "seed": 7, '
-        '"risk": 0.4022838933836079, "bias_sq": 0.32580580158896677, '
-        '"variance": 0.07647809179464116, "wall_time_s": null}]\n'
+        '"risk": 0.38083175534532754, "bias_sq": 0.2799911837044684, '
+        '"variance": 0.10084057164085913, "wall_time_s": null}]\n'
     ),
     ("mlp-sweep", "csv"): (
         'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
         'wall_time_s\n'
-        'mlp-sweep,,,2,4,30,,0.1,2,100,0.658005304,0.625830706,0.0321745974,\n'
-        'mlp-sweep,,,8,4,30,,0.1,2,100,0.511495098,0.451937357,0.0595577405,\n'
+        'mlp-sweep,,,2,4,30,,0.1,2,100,0.631786522,0.59292616,0.0388603624,\n'
+        'mlp-sweep,,,8,4,30,,0.1,2,100,0.514159842,0.465858521,0.0483013208,\n'
     ),
     ("mlp-sweep", "json"): (
         '[{"mode": "mlp-sweep", "lambda0": null, "gamma": null, "width": 2, '
         '"d": 4, "n": 30, "p": null, "noise_p": 0.1, "trials": 2, "seed": 100, '
-        '"risk": 0.6580053038133905, "bias_sq": 0.6258307063866463, '
-        '"variance": 0.032174597426744195, "wall_time_s": null}, '
+        '"risk": 0.6317865223302498, "bias_sq": 0.5929261598909152, '
+        '"variance": 0.03886036243933453, "wall_time_s": null}, '
         '{"mode": "mlp-sweep", "lambda0": null, "gamma": null, "width": 8, "d": 4, '
         '"n": 30, "p": null, "noise_p": 0.1, "trials": 2, "seed": 100, '
-        '"risk": 0.5114950976333966, "bias_sq": 0.4519373570851306, '
-        '"variance": 0.05955774054826604, "wall_time_s": null}]\n'
+        '"risk": 0.514159842021506, "bias_sq": 0.46585852118286636, '
+        '"variance": 0.048301320838639625, "wall_time_s": null}]\n'
     ),
     ("mlp-sweep:noise_p=0", "csv"): (
         'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
         'wall_time_s\n'
-        'mlp-sweep,,,2,4,30,,0,2,100,0.651802234,0.61605948,0.0357427535,\n'
-        'mlp-sweep,,,8,4,30,,0,2,100,0.488453656,0.439270534,0.0491831216,\n'
+        'mlp-sweep,,,2,4,30,,0,2,100,0.633992551,0.598735394,0.0352571575,\n'
+        'mlp-sweep,,,8,4,30,,0,2,100,0.522542828,0.472103564,0.0504392642,\n'
     ),
     ("mlp-sweep:noise_p=0", "json"): (
         '[{"mode": "mlp-sweep", "lambda0": null, "gamma": null, "width": 2, '
         '"d": 4, "n": 30, "p": null, "noise_p": 0.0, "trials": 2, "seed": 100, '
-        '"risk": 0.6518022338150818, "bias_sq": 0.6160594802787309, '
-        '"variance": 0.035742753536350966, "wall_time_s": null}, '
+        '"risk": 0.6339925514735503, "bias_sq": 0.598735393996966, '
+        '"variance": 0.03525715747658434, "wall_time_s": null}, '
         '{"mode": "mlp-sweep", "lambda0": null, "gamma": null, "width": 8, "d": 4, '
         '"n": 30, "p": null, "noise_p": 0.0, "trials": 2, "seed": 100, '
-        '"risk": 0.4884536558186079, "bias_sq": 0.4392705342326131, '
-        '"variance": 0.049183121585994825, "wall_time_s": null}]\n'
+        '"risk": 0.5225428282022488, "bias_sq": 0.4721035639584583, '
+        '"variance": 0.05043926424379055, "wall_time_s": null}]\n'
     ),
     ("decompose", "csv"): (
         'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'

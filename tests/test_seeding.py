@@ -25,6 +25,19 @@ class TestDeriveSeed:
     def test_master_seed_matters(self):
         assert derive_seed(1, 5) != derive_seed(2, 5)
 
+    def test_adjacent_master_seeds_share_no_stream(self):
+        """512,000 distinct seeds for master seeds below 2,000 and indices
+        below 256.  Folding an index into ``master + golden`` before mixing
+        made ``(m, t)`` and ``(m + 1, t ^ 1)`` one seed for every odd m."""
+        seeds = {derive_seed(m, t) for m in range(2000) for t in range(256)}
+        assert len(seeds) == 2000 * 256
+
+    def test_empty_path_keeps_its_stream(self):
+        """``derive_seed(m)`` is the SplitMix64 finalizer of m."""
+        assert derive_seed(12345) == 17540659726606785873
+        assert derive_seed(-1) == 13029008266876403067
+        assert derive_seed(0) == 0
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(), st.lists(st.integers(), max_size=6))
     def test_deterministic_for_any_path(self, master_seed, path):

@@ -53,6 +53,13 @@ class TestModelDims:
         with pytest.raises(ValueError):
             ModelDims(**kwargs)
 
+    @pytest.mark.parametrize("name", ["d", "n", "p"])
+    def test_bool_size_named(self, name):
+        sizes = dict(d=8, n=8, p=8, lambda0=1.0)
+        sizes[name] = True
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got True"):
+            ModelDims(**sizes)
+
 
 class TestSampleInstance:
     def test_scalar_case_exact_target(self):
@@ -214,21 +221,42 @@ class TestMTilde:
 
 
 class TestWishartSecondMoment:
+    @staticmethod
+    def check_moments(d, n, k, scale):
+        """S = L L^T / scale^2 ~ W_d(n, I): E S = n I and E sum_j S_ij^2 =
+        n (n + d + 1) for every row i.  L has rank min(d, n), or k when cut
+        to its first k columns, which give the first k rows of S."""
+        rng = np.random.default_rng(2718)
+        columns = min(d, n) if k is None else k
+        rows = d if columns == min(d, n) else columns
+        factors = [twolayer._wishart_factor(rng, d, n, k, scale) for _ in range(4000)]
+        for L in factors[:50]:
+            assert L.shape == (d, columns)
+            assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) > 0.0)
+        assert np.linalg.matrix_rank(factors[0]) == columns
+        variance = 1.0 / d if scale is None else scale**2
+        draws = np.array([(L @ L.T)[:rows] / variance for L in factors])
+        se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
+        assert np.all(np.abs(draws.mean(axis=0) - n * np.eye(d)[:rows]) <= 5.0 * se)
+        sq = np.einsum("tij,tij->t", draws, draws)
+        se_sq = sq.std(ddof=1) / math.sqrt(len(sq))
+        assert abs(sq.mean() - rows * n * (n + d + 1)) <= 5.0 * se_sq
+
     @pytest.mark.parametrize("d, n", [(5, 12), (5, 5), (5, 3)])
     def test_matches_exact_wishart_moments(self, d, n):
-        """d * S ~ W_d(n, I): E = n I and E tr(S^2) = n d (n + d + 1), rank min(d, n)."""
-        rng = np.random.default_rng(2718)
-        factors = [twolayer._wishart_factor(rng, d, n) for _ in range(4000)]
-        for L in factors[:50]:
-            assert L.shape == (d, min(d, n))
-            assert np.array_equal(L, np.tril(L)) and np.all(np.diag(L) > 0.0)
-        draws = np.array([d * (L @ L.T) for L in factors])
-        assert np.linalg.matrix_rank(draws[0]) == min(d, n)
-        se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
-        assert np.all(np.abs(draws.mean(axis=0) - n * np.eye(d)) <= 5.0 * se)
-        tr_sq = np.einsum("tij,tji->t", draws, draws)
-        se_tr = tr_sq.std(ddof=1) / math.sqrt(len(tr_sq))
-        assert abs(tr_sq.mean() - n * d * (n + d + 1)) <= 5.0 * se_tr
+        """d * L L^T ~ W_d(n, I), with L of full rank min(d, n)."""
+        self.check_moments(d, n, None, None)
+
+    @pytest.mark.parametrize("d, n, k, scale", [
+        (5, 12, 2, None),  # the first 2 columns of X X^T's factor
+        (5, 3, 2, None),  # ... of a singular X X^T
+        (3, 5, 3, 1 / math.sqrt(5)),  # the first layer's T for p = 3, d = 5
+        (4, 9, 2, 0.3),
+    ])
+    def test_cut_and_scaled_factor_matches_wishart_moments(self, d, n, k, scale):
+        """A factor cut to k columns, or drawn at another scale, still gives
+        the exact moments of the rows it carries."""
+        self.check_moments(d, n, k, scale)
 
 
 def factor_case(d, n, p, seed=31):
@@ -297,6 +325,31 @@ class TestMcBiasVariance:
             gap = abs(getattr(stats, name) - reference[name])
             assert gap <= 4.0 * math.sqrt(2.0) * se[name], name
 
+    @pytest.mark.parametrize("n, p", [
+        (10, 3),  # p < d
+        (10, 6),  # p = d
+        (10, 9),  # p > d: R^T stands in for W
+        (3, 5),  # n < p <= d: the k x k push-through system
+        (3, 9),  # n < d < p
+    ])
+    def test_stand_in_first_layer_agrees_with_direct_x_reference(self, n, p):
+        """Trials on the Gram factors of W and X estimate what explicit
+        (W, X) draws estimate, on either side of p = d and of n = p."""
+        dims = ModelDims(d=6, n=n, p=p, lambda0=0.5)
+        reference, se = direct_x_reference(dims, 3000)
+        stats = mc_bias_variance(dims, 3000, 7)
+        for name in ("bias_sq", "variance", "risk"):
+            gap = abs(getattr(stats, name) - reference[name])
+            assert gap <= 4.0 * math.sqrt(2.0) * se[name], name
+
+    def test_unregularized_wide_layer_names_the_real_width(self, monkeypatch):
+        """At p > d > n, R^T's d x d system hides that W's is singular: the
+        call raises before any trial runs, naming p and not d."""
+        monkeypatch.setattr(twolayer, "spawn_rng", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(SingularSystemError,
+                           match=r"^Gram matrix is singular at lam=0 \(rank <= 3 < p = 9\)"):
+            mc_bias_variance(ModelDims(d=6, n=3, p=9, lambda0=0.0), 4, 0)
+
     def test_scaled_identity_trials_have_zero_variance(self, monkeypatch):
         monkeypatch.setattr(twolayer, "_m_from_factor", lambda W, L, lam: 0.3 * np.eye(6))
         stats = mc_bias_variance(ModelDims(d=6, n=30, p=4, lambda0=1.0), 5, 0)
@@ -312,8 +365,10 @@ class TestMcBiasVariance:
         dims = ModelDims(d=6, n=30, p=4, lambda0=1.0)
         stats = mc_bias_variance(dims, 5, 0)
         rng = np.random.default_rng(1234)
-        W = rng.standard_normal((4, 6)) / math.sqrt(6)
-        M = twolayer._m_from_factor(W, twolayer._wishart_factor(rng, 6, 30), dims.lam)
+        W = np.zeros((4, 6))  # [T 0]: the Bartlett factor of W W^T ~ W_4(6, I/6)
+        W[:, :4] = twolayer._wishart_factor(rng, 4, 6, 4, 1 / math.sqrt(6))
+        L = twolayer._wishart_factor(rng, 6, 30, 4)  # X X^T's first 4 columns
+        M = twolayer._m_from_factor(W, L, dims.lam)
         centered = M - np.trace(M) / 6 * np.eye(6)
         assert_allclose(stats.variance, np.vdot(centered, centered) / 6, rtol=1e-12)
 
@@ -464,6 +519,7 @@ class TestMcRiskMtilde:
 
     @pytest.mark.parametrize("name, value", [
         ("d", 8.0), ("p", 2.5), ("trials", 3.0), ("d", 0), ("p", -1),
+        ("d", True), ("p", True), ("trials", True),
         ("lambda0", math.nan), ("lambda0", math.inf), ("lambda0", -1.0),
     ])
     def test_invalid_argument_named(self, name, value):
