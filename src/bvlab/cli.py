@@ -101,6 +101,14 @@ class SimulateConfig(Config):
     trials: int = field(metadata={"min": 2})
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for lambda0 in self.lambda0:  # the ridge (n/d) * lambda0 must be finite
+            try:
+                twolayer.ModelDims(d=self.d, n=self.n, p=1, lambda0=lambda0)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+
 
 @dataclass(frozen=True, kw_only=True)
 class MlpSweepConfig(Config, mlp.TrainConfig):

@@ -47,12 +47,14 @@ entries, ``m = min(p, d)`` (Dumitriu & Edelman 2002, "Matrix models for beta
 ensembles"), and the ridge trace each trial needs follows from the twisted
 LDL^T factorization of the tridiagonal ``B B^T`` in O(m) scalar steps.
 
-Linear systems are solved with NumPy's LAPACK after a Cholesky factorization
-confirms the regularized Gram matrix is positive definite; nothing is
-explicitly inverted, and every BLAS/LAPACK call runs in NumPy's one runtime
+A Monte Carlo trial's ridge system is min(p, d, n) x min(p, d, n) and is
+factored once: LAPACK's Cholesky factorization (which also finds a system
+that is not positive definite) and the inverse of its triangular factor,
+both from the OpenBLAS that NumPy bundles (see :mod:`bvlab._blas`), then
+matrix products only.  ``m_matrix``, ``ridge_fit`` and ``m_tilde`` keep
+the p x p system on ``X X^T`` solved by NumPy's ``solve`` as the direct
+reference.  Every BLAS/LAPACK call runs in NumPy's one runtime
 (``mc_risk_mtilde`` makes none).
-A Monte Carlo trial's system is min(p, d, n) x min(p, d, n); ``m_matrix``
-keeps the p x p system on ``X X^T`` as the direct reference.
 Trials own disjoint RNG streams derived from the master seed and are reduced
 in fixed trial-index order, so results are bit-reproducible for a fixed
 NumPy build regardless of how trials are scheduled.  ``mc_bias_variance``
@@ -71,10 +73,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import _workers
+from ._blas import inverse_cholesky
 from .seeding import spawn_rng
 from .theory import BiasVarianceRisk, _require_positive
 
@@ -121,6 +125,9 @@ class ModelDims:
         for name in ("d", "n", "p"):
             _require_positive_int(name, getattr(self, name))
         _require_positive(lambda0=self.lambda0, zero_ok=True)
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lambda0={self.lambda0!r} overflows the ridge (n/d) * lambda0 "
+                             f"at n/d={self.n / self.d!r}")
 
     @property
     def gamma(self) -> float:
@@ -200,30 +207,43 @@ def _first_layer(rng: np.random.Generator, p: int, d: int) -> np.ndarray:
     return W
 
 
-def _solve_regularized_gram(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (gram + lam I) Z = rhs; gram must be symmetric PSD.
+def _factor_regularized(
+    gram: np.ndarray, lam: float, factor: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """``factor(gram + lam I)``; lam is added to ``gram``'s diagonal in place.
 
-    A Cholesky factorization is the positive-definiteness check; the solve
-    itself is LAPACK's ``gesv``.
+    Checks lam, and at lam = 0 that gram clears ``CONDITION_LIMIT``; a
+    ``LinAlgError`` from ``factor`` (not positive definite) becomes a
+    :class:`SingularSystemError`.
     """
     _require_positive(lam=lam, zero_ok=True)
-    a = gram + gram.T
-    a *= 0.5
     if lam == 0.0:
-        cond = np.linalg.cond(a)
+        cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond >= CONDITION_LIMIT:
             raise SingularSystemError(
                 f"Gram matrix is singular at lam=0 (condition number {cond:.3e} "
                 f">= {CONDITION_LIMIT:.0e}); use lam > 0"
             )
     else:
-        a.flat[::a.shape[0] + 1] += lam  # the diagonal
+        gram.flat[::gram.shape[0] + 1] += lam  # the diagonal
     try:
-        np.linalg.cholesky(a)
+        return factor(gram)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             f"Gram matrix not positive definite at lam={lam}"
         ) from exc
+
+
+def _solve_regularized_gram(gram: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (gram + lam I) Z = rhs; gram must be symmetric PSD.
+
+    The direct reference route: gram is symmetrized, a Cholesky
+    factorization is the positive-definiteness check, and the solve itself
+    is LAPACK's ``gesv``, independent of the trials' route.
+    """
+    a = gram + gram.T
+    a *= 0.5
+    _factor_regularized(a, lam, np.linalg.cholesky)
     return np.linalg.solve(a, rhs)
 
 
@@ -253,17 +273,22 @@ def _rank_deficient(rank: int, p: int) -> SingularSystemError:
 def _m_from_factor(W: np.ndarray, L: np.ndarray, lam: float) -> np.ndarray:
     """``_m_from_gram(W, L L^T, lam)`` through the smaller of two ridge systems.
 
-    With ``B = W L`` (p x k), ``M = W^T (B B^T + lam I_p)^-1 B L^T``.  For
-    p > k the push-through identity ``(B B^T + lam I)^-1 B = B (B^T B +
-    lam I)^-1`` turns this into ``M = (W^T B) (B^T B + lam I_k)^-1 L^T``.
+    With ``B = W L`` (p x k), ``M = W^T G^-1 B L^T`` for ``G = B B^T + lam
+    I_p``.  G is factored once: ``K = C^-1`` for its Cholesky factor C
+    (:func:`bvlab._blas.inverse_cholesky`), so ``G^-1 = K^T K`` and ``M =
+    (K W)^T ((K B) L^T)`` takes matrix products only.  For p > k the
+    push-through identity ``(B B^T + lam I)^-1 B = B (B^T B + lam I)^-1``
+    puts M on the k x k ``G = B^T B + lam I_k``: ``M = (K B^T W)^T (K L^T)``.
     """
     p, k = W.shape[0], L.shape[1]
     B = W @ L
     if p <= k:
-        return W.T @ (_solve_regularized_gram(B @ B.T, B, lam) @ L.T)
+        K = _factor_regularized(B @ B.T, lam, inverse_cholesky)
+        return (K @ W).T @ ((K @ B) @ L.T)
     if lam == 0.0:
         raise _rank_deficient(k, p)
-    return (W.T @ B) @ _solve_regularized_gram(B.T @ B, L.T, lam)
+    K = _factor_regularized(B.T @ B, lam, inverse_cholesky)
+    return (K @ (B.T @ W)).T @ (K @ L.T)
 
 
 def m_matrix(W: np.ndarray, X: np.ndarray, lam: float) -> np.ndarray:
@@ -341,14 +366,16 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     if dims.lam == 0.0 and dims.p > min(d, dims.n):
         # The trials' stand-in first layer hides this: R^T's system is regular.
         raise _rank_deficient(min(d, dims.n), dims.p)
-    # Medians per trial on a 2-vCPU VM (9 runs of 40 trials, one BLAS thread):
-    # at d = 64, n = 6400, 136, 137, 148, 228, 356, 431 and 405 us for p = 8,
-    # 16, 32, 48, 64, 96 and 128; 64-101 us at d = 8; 676 and 1,536 us at
-    # d = p = 128 (n = 64, 12,800); 1,880 and 4,074 us at d = p = 192 (n = 96,
-    # 19,200).  This fit, a fixed cost and the ridge system's p'(d + k)^2
-    # flops with p' = min(p, d) rows, reads 0.64-1.56x of those medians.
+    # Medians per trial on a 2-vCPU VM (18 runs of serial 40-trial calls on
+    # one BLAS thread, the points below cycled in turn as a grid runs them):
+    # at d = 64, n = 6400, 117, 138, 173, 226, 321, 355 and 313 us for p = 8,
+    # 16, 32, 48, 64, 96 and 128; 90 and 81 us at d = 8, n = 800 (p = 4, 16);
+    # 806 and 1,562 us at d = p = 128 (n = 64, 12,800); 1,944 and 3,829 us at
+    # d = p = 192 (n = 96, 19,200).  This fit, a fixed cost and the ridge
+    # system's p'(d + k)^2 flops with p' = min(p, d) rows, reads 0.80-1.27x
+    # of those medians.
     rows = min(dims.p, d)
-    trial_us = 60.0 + d + rows * (d + min(rows, dims.n)) ** 2 / 7000.0
+    trial_us = 75.0 + d + rows * (d + min(rows, dims.n)) ** 2 / 7250.0
     blocks = _workers.run_blocks(_bias_variance_trials, trials,
                                  _workers.split_blocks(trials, trial_us), dims, master_seed)
     sq_sum = 0.0

@@ -1,5 +1,6 @@
 import threading
 
+import numpy as np
 import pytest
 
 import bvlab._blas as blas
@@ -109,3 +110,36 @@ class TestSingleBlasThread:
                 assert CONTROLS[0]() == two_threads
         finally:
             blas._thread_controls.cache_clear()
+
+
+@pytest.mark.parametrize("hidden", [False, True], ids=["lapack", "numpy"])
+class TestInverseCholesky:
+    @staticmethod
+    def route(monkeypatch, hidden):
+        if hidden:
+            monkeypatch.setattr(blas, "_lapack", lambda: None)
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_inverts_the_lower_factor_of_the_lower_triangle(self, monkeypatch, hidden, n):
+        """K = C^-1 with C C^T = a; a's upper triangle is never read."""
+        self.route(monkeypatch, hidden)
+        rng = np.random.default_rng(n)
+        B = rng.standard_normal((n, 2 * n))
+        a = B @ B.T + 0.1 * np.eye(n)
+        reference = np.linalg.inv(np.linalg.cholesky(a))
+        garbled = a.copy()
+        garbled[np.triu_indices(n, 1)] = np.nan
+        K = blas.inverse_cholesky(garbled)
+        assert np.array_equal(K, np.tril(K))
+        assert np.abs(K - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    def test_not_positive_definite_raises(self, monkeypatch, hidden):
+        self.route(monkeypatch, hidden)
+        with pytest.raises(np.linalg.LinAlgError):
+            blas.inverse_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("a", [np.eye(2, dtype=np.float32), np.ones((2, 3)), np.ones(2)])
+    def test_not_a_square_float64_matrix_rejected(self, monkeypatch, hidden, a):
+        self.route(monkeypatch, hidden)
+        with pytest.raises(ValueError, match="need a square float64 matrix"):
+            blas.inverse_cholesky(a)

@@ -140,6 +140,16 @@ class TestConfigParsing:
         assert run_with(mode, {field: text}) == 2
         assert message in capsys.readouterr().err
 
+    def test_overflowing_ridge_exits_2_before_any_point(self, monkeypatch, capsys):
+        """A finite lambda0 whose ridge (n/d) * lambda0 overflows fails the
+        config, naming lambda0 and n/d, before the first point runs."""
+        monkeypatch.setattr(twolayer, "mc_bias_variance",
+                            lambda *args: pytest.fail("a point ran"))
+        assert run_with("simulate", {"lambda0": "1,1e307", "d": "2", "n": "400"}) == 2
+        err = capsys.readouterr().err
+        assert "config error: lambda0=1e+307 overflows the ridge" in err
+        assert "n/d=200.0" in err
+
     @pytest.mark.parametrize("mode, key", [
         ("simulate", "widths"),
         ("theory", "seed"),
@@ -603,7 +613,10 @@ GOLDEN_RUNS = {
 # cells were re-recorded when the Monte Carlo bias became (1 - mean tr(M)/d)^2.
 # The simulate and mlp-sweep cells were re-recorded again when seed derivation
 # began mixing the state before each index and the Monte Carlo trials began
-# drawing the first layer's Gram factor instead of W.
+# drawing the first layer's Gram factor instead of W.  The simulate JSON
+# floats were re-recorded once more, for last-bit changes only, when each
+# trial's ridge system began to be factored once (Cholesky and triangular
+# inverse) instead of checked by Cholesky and solved by LU.
 GOLDEN = {
     ("theory", "csv"): (
         'mode,lambda0,gamma,width,d,n,p,noise_p,trials,seed,risk,bias_sq,variance,'
@@ -647,12 +660,12 @@ GOLDEN = {
         '"variance": 0.2268798672292719, "wall_time_s": null}, '
         '{"mode": "simulate", "lambda0": 0.1, "gamma": 1.5, "width": null, "d": 4, '
         '"n": 16, "p": 6, "noise_p": null, "trials": 3, "seed": 7, '
-        '"risk": 0.1089729778780647, "bias_sq": 0.036687377296661376, '
-        '"variance": 0.07228560058140332, "wall_time_s": null}, '
+        '"risk": 0.10897297787806448, "bias_sq": 0.036687377296661335, '
+        '"variance": 0.07228560058140315, "wall_time_s": null}, '
         '{"mode": "simulate", "lambda0": 1.0, "gamma": 0.5, "width": null, "d": 4, '
         '"n": 16, "p": 2, "noise_p": null, "trials": 3, "seed": 7, '
-        '"risk": 0.6881569069654311, "bias_sq": 0.5988271895928603, '
-        '"variance": 0.08932971737257078, "wall_time_s": null}, '
+        '"risk": 0.688156906965431, "bias_sq": 0.5988271895928601, '
+        '"variance": 0.0893297173725709, "wall_time_s": null}, '
         '{"mode": "simulate", "lambda0": 1.0, "gamma": 1.5, "width": null, "d": 4, '
         '"n": 16, "p": 6, "noise_p": null, "trials": 3, "seed": 7, '
         '"risk": 0.38083175534532754, "bias_sq": 0.2799911837044684, '

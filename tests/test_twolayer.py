@@ -53,6 +53,12 @@ class TestModelDims:
         with pytest.raises(ValueError):
             ModelDims(**kwargs)
 
+    def test_overflowing_ridge_named(self):
+        """A finite lambda0 must not give lam = (n/d) * lambda0 = inf."""
+        with pytest.raises(ValueError, match=r"^lambda0=1e\+307 overflows .* n/d=200\.0"):
+            ModelDims(d=2, n=400, p=2, lambda0=1e307)
+        assert ModelDims(d=2, n=400, p=2, lambda0=1e305).lam == 2e307
+
     @pytest.mark.parametrize("name", ["d", "n", "p"])
     def test_bool_size_named(self, name):
         sizes = dict(d=8, n=8, p=8, lambda0=1.0)
@@ -288,6 +294,52 @@ class TestMFromFactor:
         via_gram = twolayer._m_from_gram(W, L @ L.T, 0.0)
         via_factor = twolayer._m_from_factor(W, L, 0.0)
         assert np.abs(via_factor - via_gram).max() <= 1e-12 * np.abs(via_gram).max()
+
+
+def hide_lapack(monkeypatch, hidden):
+    if hidden:
+        monkeypatch.setattr(_blas, "_lapack", lambda: None)
+
+
+class TestMFromFactorWithoutLapack(TestMFromFactor):
+    """The same checks where NumPy bundles no LAPACK to bind: the inverse
+    Cholesky factor then comes from ``np.linalg``."""
+
+    @pytest.fixture(autouse=True)
+    def without_lapack(self, monkeypatch):
+        hide_lapack(monkeypatch, True)
+
+
+@pytest.mark.parametrize("hidden", [False, True], ids=["lapack", "numpy"])
+class TestFactoredSystem:
+    @pytest.mark.parametrize("W", [
+        [[1.0, 0.0], [1.0, 0.0]],  # p <= k: B B^T = [[1, 1], [1, 1]]
+        [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]],  # p > k: B^T B = [[1, 1], [1, 1]]
+    ])
+    def test_not_positive_definite_raises(self, monkeypatch, hidden, W):
+        """A ridge of 1e-20 is lost in G's unit diagonal, so G stays
+        singular and the Cholesky factorization finds a zero pivot."""
+        hide_lapack(monkeypatch, hidden)
+        with pytest.raises(SingularSystemError,
+                           match="^Gram matrix not positive definite at lam=1e-20$") as info:
+            twolayer._m_from_factor(np.array(W), np.eye(2), 1e-20)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        if not hidden and _blas._lapack() is not None:
+            assert "LAPACK info 2" in str(info.value.__cause__)  # potrf's zero pivot
+
+    def test_unregularized_trace_is_exact_to_conditioning(self, monkeypatch, hidden):
+        """At lam = 0 with p <= d <= n, M is a projection of rank p, so
+        tr M = p; the factored route misses it by at most p cond(G) eps."""
+        hide_lapack(monkeypatch, hidden)
+        rng = np.random.default_rng(0)
+        d, n, p = 8, 400, 4
+        W = np.diag([1.0, 1e-2, 1e-3, 1e-4]) @ rng.standard_normal((p, d))
+        L = twolayer._wishart_factor(rng, d, n)
+        B = W @ L
+        cond = np.linalg.cond(B @ B.T)
+        assert 1e8 <= cond < twolayer.CONDITION_LIMIT
+        trace = np.trace(twolayer._m_from_factor(W, L, 0.0))
+        assert abs(trace - p) <= p * cond * np.finfo(float).eps
 
 
 def direct_x_reference(dims, trials):
