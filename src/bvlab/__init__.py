@@ -22,7 +22,6 @@ from .mlp import (
     TrainConfig,
     init_mlp,
     inject_label_noise,
-    load_idx,
     synth_dataset,
     train_sgd,
     width_sweep,

@@ -15,7 +15,7 @@ An array is read in three steps:
    skeleton of the shape the header declares.  Then the array is neither
    ragged nor of another shape, and with its brackets blanked it is a flat
    comma-separated list of its entries in C order.
-3. That list is cut at commas into chunks of about 1 MB, and each chunk,
+3. That list is cut at commas into chunks of about 128 KB, and each chunk,
    once checked for empty entries, is parsed by ``np.fromstring``.  Its
    decimal-to-double conversion is CPython's correctly rounded one
    (``PyOS_string_to_double``), the one ``float()``, and so :mod:`json`,
@@ -25,11 +25,12 @@ An array is read in three steps:
    ``inf`` and ``infinity`` in any case.  The one difference in bits: ``-0``
    reads as -0.0, where :mod:`json` reads the integer 0.
 
-Large arrays are parsed over the worker processes of :mod:`bvlab._workers`,
-in contiguous blocks of chunks; a worker is sent only the bytes its chunks
-span.  No Python object is made per value.  Beyond the file's bytes and the
-arrays, a parse holds a chunk's temporaries per process and, when split, the
-bytes sent to each worker and the values it sends back.
+The chunks are parsed by :func:`bvlab._workers.run_timed`: the first ones
+here, timed, and the rest, when they take long enough, over the worker
+processes in contiguous blocks of chunks; a worker is sent only the bytes
+its chunks span.  No Python object is made per value.  Beyond the file's
+bytes and the arrays, a parse holds a chunk's temporaries per process and,
+when split, the bytes sent to each worker and the values it sends back.
 """
 
 from __future__ import annotations
@@ -49,14 +50,12 @@ _ARRAYS = ("outputs", "labels")
 _SIZES = ("test_count", "k", "N", "c")
 _FIELDS = (*_SIZES, "outputs", "labels", "kind")
 
-# Bytes of number text per chunk.  A chunk's temporaries (its bytes, their
-# copy with blanked brackets, its parsed values) are about three times this.
-_CHUNK = 1 << 20
-# Estimated parse time per byte of number text, in microseconds of one core:
-# on a 2-vCPU VM np.fromstring took 14-20 ns per byte of the benchmark's
-# dumps and each of the three byte passes (skeleton, empty-entry check,
-# blanked brackets) 1-2 ns.
-_US_PER_BYTE = 0.02
+# Bytes of number text per chunk, at most; a parse has at least one chunk per
+# CPU.  A chunk's temporaries (its bytes, their copy with blanked brackets,
+# its parsed values) are about three times this.  Chunks are the units a
+# split is timed by and cut into, so one (2-3 ms on a 2-vCPU VM) is a small
+# share of the 40-60 ms a 3 MB dump takes to parse.
+_CHUNK = 1 << 17
 
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 _NOT_SKELETON = bytes(sorted(set(range(256)) - set(b"[],")))
@@ -100,8 +99,7 @@ def read_dump(path: str) -> tuple[np.ndarray, np.ndarray, str]:
             raise ValueError(_malformed(name, shape, "it is not an array of numbers"))
     names = sorted(shapes, key=lambda name: spans[name][0])  # in file order
     text_bytes = sum(spans[name][1] - spans[name][0] for name in names)
-    blocks = _workers.split_blocks(text_bytes, _US_PER_BYTE)
-    size = min(_CHUNK, -(-text_bytes // blocks))
+    size = min(_CHUNK, -(-text_bytes // _workers.available()))
     pieces: list[tuple[int, int, int, int]] = []
     offsets = {}
     first = 0
@@ -111,8 +109,8 @@ def read_dump(path: str) -> tuple[np.ndarray, np.ndarray, str]:
         first += math.prod(shapes[name])
     values = np.empty(first)
     try:
-        parts_done = _workers.run_blocks(_parse_chunks, len(pieces), min(blocks, len(pieces)),
-                                         sliced=(_Chunks(data, pieces, out=values),))
+        parts_done = _workers.run_timed(_parse_chunks, len(pieces),
+                                        sliced=(_Chunks(data, pieces, out=values),))
     except _NotANumber as exc:
         start, stop = exc.args
         name = next(name for name in names if spans[name][0] <= start < spans[name][1])

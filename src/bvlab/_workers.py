@@ -32,24 +32,26 @@ across one, so a worker never waits on a lock held by a thread it lacks.
 A worker lives as long as this process and holds its own copy-on-write
 image of it (70-124 MB peak resident after a benchmark-sized run), so
 counting workers by the affinity mask assumes the mask is the CPU share the
-process really gets; callers also size their splits by their own work.
+process really gets.  :func:`run_timed` sizes a split by its work: it times
+a lead slice of the units here and splits only what is left.
 """
 
 from __future__ import annotations
 
 import atexit
-import contextlib
 import ctypes
+import math
 import os
 import pickle
 import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ._blas import single_blas_thread
 
 _HEADER = 8  # bytes of the little-endian length before each pickle
-# Bytes a pipe holds on Linux (else 64 KB); a worker trims after a larger message.
+# A worker hands its freed heap back to the system after a larger message.
 _LARGE = 1 << 20
 
 
@@ -180,23 +182,12 @@ def _serve(requests: int, replies: int, cpu: int) -> None:
                 trim(0)  # glibc keeps a freed heap once a large free raised its mmap threshold
 
 
-def _pipe() -> tuple[int, int]:
-    """``os.pipe()``, holding ``_LARGE`` bytes where Linux lets us ask for that."""
-    read, write = os.pipe()
-    with contextlib.suppress(ImportError, AttributeError, OSError, ValueError):
-        import fcntl  # here only, like signal: used when a worker starts
-
-        with open("/proc/sys/fs/pipe-max-size", encoding="ascii") as fh:  # read, never set
-            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, min(_LARGE, int(fh.read())))
-    return read, write
-
-
 def _start(slot: int, mask: set[int]) -> _Worker:
     """Fork the worker of ``slot``, pinned to CPU ``slot + 1`` of ``mask``."""
     cpus = sorted(mask)
     cpu = cpus[(slot + 1) % len(cpus)]
-    request_read, request_write = _pipe()
-    reply_read, reply_write = _pipe()
+    request_read, request_write = os.pipe()
+    reply_read, reply_write = os.pipe()
     pid = os.fork()
     if pid == 0:
         code = 1
@@ -269,12 +260,12 @@ def run_blocks(fn: Callable, count: int, blocks: int, *args, sliced: tuple = ())
     blocks]``, one block per process.
 
     ``range(count)`` is cut into ``blocks`` contiguous blocks whose sizes
-    differ by at most one (``blocks`` must not exceed ``count``).  The
-    ``sliced`` arguments hold one item per index, and each block receives
-    only its own slice of them, so a worker is sent only its block's items;
-    ``args`` go to every block whole.  Every block runs on one BLAS thread.
-    With one block, or while another split uses the pool, the one block
-    ``(0, count)`` runs in this thread.  Otherwise
+    differ by at most one, ``blocks`` first cut down to ``count`` and to
+    :func:`available`.  The ``sliced`` arguments hold one item per index,
+    and each block receives only its own slice of them, so a worker is sent
+    only its block's items; ``args`` go to every block whole.  Every block
+    runs on one BLAS thread.  With one block, or while another split uses
+    the pool, the one block ``(0, count)`` runs in this thread.  Otherwise
     block 0 runs here and block ``i`` in worker ``i - 1``, and the results
     come back in block order.  Meanwhile this thread is held on the first
     CPU of its affinity mask; a mask changed by someone else during the call
@@ -290,11 +281,52 @@ def run_blocks(fn: Callable, count: int, blocks: int, *args, sliced: tuple = ())
             busy workers are SIGKILLed, reaped and dropped, and the
             interruption propagates.
     """
+    return _run(fn, 0, count, min(blocks, available(), count), args, sliced)
+
+
+def run_timed(fn: Callable, count: int, *args, sliced: tuple = ()) -> list:
+    """:func:`run_blocks` over ``range(count)``, split as far as the measured
+    cost of its units pays for; the results of its blocks, in index order.
+
+    A lead slice ``[0, m)`` runs here first, on one BLAS thread, ``m``
+    doubling from 1: ``fn`` over blocks of 1, 1, 2, 4, ... units, until a
+    block after the first would have taken ``MIN_SPLIT_US / 16`` at the
+    lowest cost per unit that those blocks showed.  The units left are then
+    split by :func:`split_blocks` at that cost: normally the last block's,
+    while a block slowed by a pause (4 ms pauses hit one lead slice of the
+    edge grid's rendering in 30 on a 2-vCPU VM) neither ends the lead slice
+    nor sets the cost.  The first block is never measured, as it also pays
+    what a process does once (a process's first Monte Carlo trial took 15 ms
+    there, most of it importing ``numpy.random``, and the next ones
+    0.2-0.5 ms).  With ``MIN_SPLIT_US`` at 0 there is no lead slice.
+    ``fn`` sees the indices of ``range(count)`` whatever the split, and an
+    exception is raised as :func:`run_blocks` raises it.
+    """
+    results, lo, unit_us = [], 0, math.inf
+    with single_blas_thread():  # held into the split: no switch back to more threads
+        while lo < count and MIN_SPLIT_US > 0:
+            hi = min(count, 2 * lo or 1)
+            start = time.perf_counter()
+            results.append(fn(lo, hi, *_block_args(lo, hi, sliced, args)))
+            spent = (time.perf_counter() - start) * 1e6
+            lo, size = hi, hi - lo
+            if lo > 1:
+                unit_us = min(unit_us, spent / size)
+                if size * unit_us >= MIN_SPLIT_US / 16:
+                    break
+        if lo < count:
+            results += _run(fn, lo, count, split_blocks(count - lo, unit_us), args, sliced)
+    return results
+
+
+def _run(fn: Callable, lo: int, hi: int, blocks: int, args: tuple, sliced: tuple) -> list:
+    """Indices ``lo..hi-1`` in ``blocks`` blocks, as :func:`run_blocks` runs them."""
     if blocks < 2 or not _busy.acquire(blocking=False):
         with single_blas_thread():
-            return [fn(0, count, *_block_args(0, count, sliced, args))]
+            return [fn(lo, hi, *_block_args(lo, hi, sliced, args))]
     try:
-        return _split(fn, count, blocks, args, sliced)
+        return _split(fn, [lo + (hi - lo) * i // blocks for i in range(blocks + 1)],
+                      args, sliced)
     finally:
         _busy.release()
 
@@ -303,9 +335,10 @@ def _block_args(lo: int, hi: int, sliced: tuple, args: tuple) -> tuple:
     return (*[items[lo:hi] for items in sliced], *args)
 
 
-def _split(fn: Callable, count: int, blocks: int, args: tuple, sliced: tuple) -> list:
-    """:func:`run_blocks` over the pool, with two or more blocks."""
-    bounds = [count * i // blocks for i in range(blocks + 1)]
+def _split(fn: Callable, bounds: list[int], args: tuple, sliced: tuple) -> list:
+    """:func:`run_blocks` over the pool, with the two or more blocks between
+    neighbouring ``bounds``."""
+    blocks = len(bounds) - 1
     _claim()
     _pool.extend([None] * (blocks - 1 - len(_pool)))
     outcomes: list[Optional[tuple]] = [None] * blocks

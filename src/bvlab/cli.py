@@ -17,7 +17,7 @@ table (:data:`Table`) with the columns
 
 which :func:`emit` writes as CSV (that header, floats at 9 significant digits,
 unused columns empty) or as a compact one-line JSON array of row objects with
-the same keys, rendering a large table over the worker pool.  The wall_time_s
+the same keys, rendering a slow table over the worker pool.  The wall_time_s
 column is filled only when ``--timings`` (or ``timings = on``) is set, so
 default reruns of one config produce byte-identical files.  It holds each row's
 own run time, except in theory mode, where the whole grid is evaluated at once
@@ -359,12 +359,6 @@ def run_config(config: Config) -> Table:
     return _RUNNERS[type(config)](config)
 
 
-# Rendering time per cell of a per-row column, in microseconds of one core: a
-# benchmark theory table's cell took 0.4-0.6 us as CSV and 0.6-1.0 us as JSON
-# on a 2-vCPU VM, so a table of five per-row columns splits from 2,000 rows.
-_US_PER_CELL = 0.5
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -406,8 +400,10 @@ def emit(table: Table, path: Optional[str], emit_format: str) -> None:
     CSV has a header of the table's column names and floats at 9 significant
     digits.  JSON is, byte for byte, what :func:`json.dumps` writes for the
     list of row objects: one line, floats at full precision, so it loads back
-    to the table exactly.  A large table's rows are rendered in contiguous
-    blocks over the worker pool; the bytes do not depend on the split.
+    to the table exactly.  The first rows are rendered here and timed; when
+    the rest take long enough, they are rendered in contiguous blocks over
+    the worker pool (:func:`bvlab._workers.run_timed`).  The bytes do not
+    depend on the split.
     """
     names = list(table)
     if emit_format == "csv":
@@ -433,9 +429,8 @@ def emit(table: Table, path: Optional[str], emit_format: str) -> None:
             texts.append("")
         else:
             texts[-1] += cell(column)
-    fragments = _workers.run_blocks(
-        _render_rows, rows, _workers.split_blocks(rows, len(columns) * _US_PER_CELL),
-        texts, cell, floats, between, sliced=tuple(columns))
+    fragments = _workers.run_timed(_render_rows, rows, texts, cell, floats, between,
+                                   sliced=tuple(columns))
     parts = [head]
     for fragment in fragments:
         parts += (fragment, between)

@@ -5,8 +5,7 @@ small MLPs by minibatch SGD (momentum, weight decay, stage-wise learning-rate
 decay) on the squared distance between the softmax output and the one-hot
 label, and feeds the resulting prediction ensembles to the squared-loss
 decomposition estimator.  Also provides dataset plumbing: a synthetic
-Gaussian-cluster task, uniform label-noise injection, and an IDX-format
-reader for image/label file pairs.
+Gaussian-cluster task and uniform label-noise injection.
 
 Ensemble members are independent (own data part, own initialization, own
 shuffle stream), but a width's members are stepped together: one stacked
@@ -31,7 +30,6 @@ trains in one process.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,20 +50,15 @@ __all__ = [
     "LabeledDataset",
     "TrainConfig",
     "TrainingDivergedError",
-    "IdxFormatError",
     "init_mlp",
     "softmax",
     "predict_probabilities",
     "loss_and_gradients",
     "train_sgd",
     "inject_label_noise",
-    "load_idx",
     "synth_dataset",
     "width_sweep",
 ]
-
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
 
 
 class TrainingDivergedError(RuntimeError):
@@ -77,10 +70,6 @@ class TrainingDivergedError(RuntimeError):
 
     def __reduce__(self):
         return type(self), (str(self), self.epoch)
-
-
-class IdxFormatError(ValueError):
-    """The file does not match the IDX image/label layout."""
 
 
 @dataclass
@@ -345,7 +334,10 @@ def _train_stacked(
 
 
 # Fewest stacked steps (epochs x batches per epoch) worth splitting over the
-# worker pool (bvlab._workers).  On a 2-vCPU VM a split of the benchmark's
+# worker pool (bvlab._workers).  Training is sized by this count, not by the
+# timed lead slice of bvlab._workers.run_timed: its unit is a member, and a
+# member trained alone loses the stacking that steps all of a width's members
+# for little more than one costs.  On a 2-vCPU VM a split of the benchmark's
 # widths (6 members, 1,024 examples of 16 inputs each) sends a worker its 3
 # members and their data (0.49 MB at width 2, 0.62 MB at width 256) and
 # gets their trained weights back, a round trip under the 6-9 ms that all
@@ -404,9 +396,8 @@ def _train_split(
         RuntimeError: a worker process died, naming its block and exit status.
     """
     steps = cfg.epochs * math.ceil(inputs.shape[1] / cfg.batch_size)
-    processes = _workers.available() if steps >= _MIN_FORK_STEPS else 1
     outcomes = _workers.run_blocks(_train_members, len(members),
-                                   min(processes, len(members)), cfg,
+                                   len(members) if steps >= _MIN_FORK_STEPS else 1, cfg,
                                    sliced=(members, inputs, onehot, seeds))
     diverged = [outcome for outcome in outcomes if isinstance(outcome, TrainingDivergedError)]
     if diverged:
@@ -447,64 +438,6 @@ def inject_label_noise(labels: np.ndarray, p: float, c: int, seed: int) -> np.nd
     noisy = labels.copy()
     noisy[replace_mask] = draws[replace_mask]
     return noisy
-
-
-def _read_exact(handle, count: int, path: str, what: str) -> bytes:
-    data = handle.read(count)
-    if len(data) != count:
-        raise IdxFormatError(
-            f"{path}: truncated file while reading {what} "
-            f"(wanted {count} bytes, got {len(data)})"
-        )
-    return data
-
-
-def _read_be32(handle, path: str, what: str) -> int:
-    return struct.unpack(">I", _read_exact(handle, 4, path, what))[0]
-
-
-def load_idx(image_path: str, label_path: str) -> LabeledDataset:
-    """Load an IDX image/label file pair as flattened [0, 1] vectors.
-
-    Layout (all integers big-endian 32-bit): images carry magic 0x00000803
-    then (count, rows, cols) then count*rows*cols unsigned bytes; labels
-    carry magic 0x00000801 then count then count unsigned bytes.  Anything
-    else raises :class:`IdxFormatError` naming the defect.
-    """
-    with open(image_path, "rb") as fh:
-        magic = _read_be32(fh, image_path, "image magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{image_path}: bad image magic (expected {IDX_IMAGE_MAGIC:#010x}, "
-                f"found {magic:#010x})"
-            )
-        count = _read_be32(fh, image_path, "image count")
-        rows = _read_be32(fh, image_path, "row count")
-        cols = _read_be32(fh, image_path, "column count")
-        pixels = _read_exact(fh, count * rows * cols, image_path, "pixel data")
-        if fh.read(1):
-            raise IdxFormatError(f"{image_path}: trailing bytes after pixel data")
-    with open(label_path, "rb") as fh:
-        magic = _read_be32(fh, label_path, "label magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{label_path}: bad label magic (expected {IDX_LABEL_MAGIC:#010x}, "
-                f"found {magic:#010x})"
-            )
-        label_count = _read_be32(fh, label_path, "label count")
-        raw_labels = _read_exact(fh, label_count, label_path, "label data")
-        if fh.read(1):
-            raise IdxFormatError(f"{label_path}: trailing bytes after label data")
-    if count != label_count:
-        raise IdxFormatError(
-            f"image/label count mismatch: {count} images vs {label_count} labels"
-        )
-    images = np.frombuffer(pixels, dtype=np.uint8).reshape(count, rows * cols)
-    return LabeledDataset(
-        inputs=images.astype(np.float64) / 255.0,
-        labels=np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64),
-        provenance="idx-file",
-    )
 
 
 def synth_dataset(d_in: int, n: int, c: int, margin: float, seed: int) -> LabeledDataset:

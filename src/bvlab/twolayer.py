@@ -58,14 +58,15 @@ reference.  Every BLAS/LAPACK call runs in NumPy's one runtime
 Trials own disjoint RNG streams derived from the master seed and are reduced
 in fixed trial-index order, so results are bit-reproducible for a fixed
 NumPy build regardless of how trials are scheduled.  ``mc_bias_variance``
-uses that: once a call's estimated work passes ``_workers.MIN_SPLIT_US``, its
-trials are cut into contiguous blocks, at most one per CPU of the affinity
-mask, and all but the first block run in the long-lived worker processes of
-:mod:`bvlab._workers`.  Every block, split or not, runs on one BLAS thread
-(``np.vdot`` sums in one part per BLAS thread above 10,000 entries) and
-returns its per-trial values, which this process sums in trial order, so
-the result has the same bits at any number of processes (``taskset -c 0``
-keeps a run in one process).
+uses that: its first trials run here and are timed, and once the measured
+work of the rest passes ``_workers.MIN_SPLIT_US`` (see
+:func:`bvlab._workers.run_timed`), the rest are cut into contiguous blocks,
+at most one per CPU of the affinity mask, and all but the first block run in
+the long-lived worker processes of :mod:`bvlab._workers`.  Every block,
+split or not, runs on one BLAS thread (``np.vdot`` sums in one part per
+BLAS thread above 10,000 entries) and returns its per-trial values, which
+this process sums in trial order, so the result has the same bits at any
+number of processes (``taskset -c 0`` keeps a run in one process).
 """
 
 from __future__ import annotations
@@ -366,18 +367,7 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     if dims.lam == 0.0 and dims.p > min(d, dims.n):
         # The trials' stand-in first layer hides this: R^T's system is regular.
         raise _rank_deficient(min(d, dims.n), dims.p)
-    # Medians per trial on a 2-vCPU VM (18 runs of serial 40-trial calls on
-    # one BLAS thread, the points below cycled in turn as a grid runs them):
-    # at d = 64, n = 6400, 117, 138, 173, 226, 321, 355 and 313 us for p = 8,
-    # 16, 32, 48, 64, 96 and 128; 90 and 81 us at d = 8, n = 800 (p = 4, 16);
-    # 806 and 1,562 us at d = p = 128 (n = 64, 12,800); 1,944 and 3,829 us at
-    # d = p = 192 (n = 96, 19,200).  This fit, a fixed cost and the ridge
-    # system's p'(d + k)^2 flops with p' = min(p, d) rows, reads 0.80-1.27x
-    # of those medians.
-    rows = min(dims.p, d)
-    trial_us = 75.0 + d + rows * (d + min(rows, dims.n)) ** 2 / 7250.0
-    blocks = _workers.run_blocks(_bias_variance_trials, trials,
-                                 _workers.split_blocks(trials, trial_us), dims, master_seed)
+    blocks = _workers.run_timed(_bias_variance_trials, trials, dims, master_seed)
     sq_sum = 0.0
     trace_sum = 0.0
     for block in blocks:  # in trial order, as one loop over the trials would

@@ -1,7 +1,6 @@
 import math
 import os
 import signal
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -12,13 +11,11 @@ import bvlab._workers as workers
 import bvlab.mlp as mlp_module
 from bvlab.estimators import SplitPlan, plan_splits
 from bvlab.mlp import (
-    IdxFormatError,
     LabeledDataset,
     TrainConfig,
     TrainingDivergedError,
     init_mlp,
     inject_label_noise,
-    load_idx,
     loss_and_gradients,
     predict_probabilities,
     synth_dataset,
@@ -186,61 +183,6 @@ class TestInjectLabelNoise:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             inject_label_noise(np.zeros(3, dtype=int), 1.5, 2, seed=0)
-
-
-def write_idx_pair(tmp_path, pixels, labels, image_magic=0x803, label_magic=0x801,
-                   rows=2, cols=3, truncate_images=False):
-    image_path = tmp_path / "images.idx"
-    label_path = tmp_path / "labels.idx"
-    count = len(labels)
-    body = struct.pack(">IIII", image_magic, len(pixels) // (rows * cols), rows, cols)
-    body += bytes(pixels)
-    if truncate_images:
-        body = body[:-2]
-    image_path.write_bytes(body)
-    label_path.write_bytes(struct.pack(">II", label_magic, count) + bytes(labels))
-    return str(image_path), str(label_path)
-
-
-class TestLoadIdx:
-    def test_roundtrip_hand_built_fixture(self, tmp_path):
-        pixels = list(range(24))  # 4 images of 2x3
-        labels = [0, 2, 1, 3]
-        images, labels_file = write_idx_pair(tmp_path, pixels, labels)
-        data = load_idx(images, labels_file)
-        assert len(data) == 4
-        assert data.provenance == "idx-file"
-        assert data.inputs.shape == (4, 6)
-        assert_allclose(data.inputs[0], np.arange(6) / 255.0, rtol=1e-15)
-        assert_allclose(data.inputs[3], np.arange(18, 24) / 255.0, rtol=1e-15)
-        assert np.array_equal(data.labels, labels)
-
-    def test_count_mismatch(self, tmp_path):
-        images, labels_file = write_idx_pair(tmp_path, list(range(12)), [1, 0, 1])
-        with pytest.raises(IdxFormatError, match="mismatch"):
-            load_idx(images, labels_file)
-
-    def test_wrong_image_magic_names_both_values(self, tmp_path):
-        images, labels_file = write_idx_pair(
-            tmp_path, list(range(6)), [1], image_magic=0x00000802
-        )
-        with pytest.raises(IdxFormatError, match="0x00000803") as excinfo:
-            load_idx(images, labels_file)
-        assert "0x00000802" in str(excinfo.value)
-
-    def test_wrong_label_magic(self, tmp_path):
-        images, labels_file = write_idx_pair(
-            tmp_path, list(range(6)), [1], label_magic=0x00000805
-        )
-        with pytest.raises(IdxFormatError, match="label magic"):
-            load_idx(images, labels_file)
-
-    def test_truncated_pixels(self, tmp_path):
-        images, labels_file = write_idx_pair(
-            tmp_path, list(range(12)), [0, 1], truncate_images=True
-        )
-        with pytest.raises(IdxFormatError, match="truncated"):
-            load_idx(images, labels_file)
 
 
 class TestSynthDataset:

@@ -15,7 +15,7 @@ import pytest
 import bvlab
 import bvlab._workers as workers
 from bvlab.cli import ConfigError
-from bvlab.mlp import IdxFormatError, TrainingDivergedError
+from bvlab.mlp import TrainingDivergedError
 from bvlab.twolayer import ModelDims, SingularSystemError, mc_bias_variance
 from conftest import assert_only_pool_workers, force_processes, needs_fork
 
@@ -94,6 +94,15 @@ def _cpus(lo, hi):
     return sorted(REAL_AFFINITY(0))
 
 
+def _spin(lo, hi, unit_us, paused=None):
+    """Busy-wait ``unit_us`` per index, and 5 ms more in a block from index
+    ``paused``; the indices and this process's id."""
+    end = time.perf_counter() + ((hi - lo) * unit_us + 5000.0 * (lo == paused)) * 1e-6
+    while time.perf_counter() < end:
+        pass
+    return list(range(lo, hi)), os.getpid()
+
+
 def _blas_threads(lo, hi):
     controls = bvlab._blas._thread_controls()
     return None if controls is None else controls[0]()
@@ -102,7 +111,6 @@ def _blas_threads(lo, hi):
 @pytest.mark.parametrize("exc", [
     TrainingDivergedError("non-finite loss at epoch 3 (lr=0.1)", 3),
     SingularSystemError("Gram matrix is singular at lam=0"),
-    IdxFormatError("bad image magic"),
     ConfigError("field 'gamma': bad number"),
 ])
 def test_exceptions_survive_a_pickle_round_trip(exc):
@@ -173,7 +181,17 @@ class TestRunBlocks:
         one = None if before is None else 1
         assert workers.run_blocks(_blas_threads, 2, 1) == [one]
         assert workers.run_blocks(_blas_threads, 2, 2) == [one, one]
+        assert workers.run_timed(_blas_threads, 2) == [one, one]  # split, no lead slice
+        monkeypatch.setattr(workers, "MIN_SPLIT_US", 1e9)
+        assert workers.run_timed(_blas_threads, 2) == [one, one]  # both in the lead slice
         assert _blas_threads(0, 0) == before
+
+    def test_blocks_are_cut_down_to_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(workers, "available", lambda: 2)
+        results = workers.run_blocks(_pids, 8, 8, "x")
+        assert [i for block in results for i, _, _ in block] == list(range(8))
+        assert len(results) == 2 and len(workers._pool) == 1
+        assert_only_pool_workers()
 
     def test_killed_worker_fails_one_call(self, monkeypatch):
         force_processes(monkeypatch, 2)
@@ -312,18 +330,6 @@ class TestRunBlocks:
         workers.run_blocks(_pids, 2, 2, "x")  # requests are serial: the trim has run
         assert _resident_mb(worker.pid) < before + 16
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux pipe sizes")
-    def test_worker_pipes_hold_a_large_request(self, monkeypatch):
-        import fcntl
-
-        force_processes(monkeypatch, 2)
-        workers.run_blocks(_pids, 2, 2, "x")
-        (worker,) = workers._pool
-        with open("/proc/sys/fs/pipe-max-size", encoding="ascii") as fh:
-            expected = min(workers._LARGE, int(fh.read()))
-        for fd in (worker.requests, worker.replies):
-            assert fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) == expected
-
     def test_workers_exit_with_the_process(self):
         """A process that ran a split ``simulate`` leaves no worker behind."""
         script = (
@@ -342,6 +348,43 @@ class TestRunBlocks:
         assert len(pids) == 1
         for pid in pids:
             assert not os.path.exists(f"/proc/{pid}")
+
+
+@needs_fork
+class TestRunTimed:
+    """The lead slice and the split it sizes, with the real ``MIN_SPLIT_US``."""
+
+    def test_lead_slice_doubles_from_one_unit(self, monkeypatch):
+        monkeypatch.setattr(workers, "MIN_SPLIT_US", 1e9)  # no block takes that long
+        results = workers.run_timed(_pids, 20, "x")
+        assert [len(block) for block in results] == [1, 1, 2, 4, 8, 4]
+        assert sum(results, []) == _pids(0, 20, "x")
+
+    def test_short_work_starts_no_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork called"))
+        results = workers.run_timed(_spin, 20, 20.0)
+        assert [i for block, _ in results for i in block] == list(range(20))
+        assert workers._pool == []
+
+    @pytest.mark.parametrize("paused", [2, 8])
+    def test_a_paused_block_neither_ends_the_lead_slice_nor_sets_the_cost(
+            self, monkeypatch, paused):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork called"))
+        results = workers.run_timed(_spin, 60, 20.0, paused)
+        assert [i for block, _ in results for i in block] == list(range(60))
+        assert workers._pool == []
+
+    def test_long_work_splits_over_the_cpus(self, monkeypatch):
+        """Units 0 and 1 are the lead slice; the other 38, of 500 us each, pay for a split."""
+        workers.shutdown()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        results = workers.run_timed(_spin, 40, 500.0)
+        assert [block for block, _ in results] == [[0], [1], list(range(2, 21)),
+                                                    list(range(21, 40))]
+        assert [pid for _, pid in results] == [os.getpid()] * 3 + [workers._pool[0].pid]
+        assert_only_pool_workers()
 
 
 @needs_fork
