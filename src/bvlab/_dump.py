@@ -11,26 +11,30 @@ An array is read in three steps:
 
 1. Its end is the last ``]`` before the next ``"`` of the file (a number
    array holds none), or before the end of the file.
-2. Its skeleton, its ``[``, ``]`` and ``,`` bytes in order, must equal the
-   skeleton of the shape the header declares.  Then the array is neither
-   ragged nor of another shape, and with its brackets blanked it is a flat
-   comma-separated list of its entries in C order.
-3. That list is cut at commas into chunks of about 128 KB, and each chunk,
-   once checked for empty entries, is parsed by ``np.fromstring``.  Its
-   decimal-to-double conversion is CPython's correctly rounded one
-   (``PyOS_string_to_double``), the one ``float()``, and so :mod:`json`,
-   uses; so the arrays hold the bits of ``np.asarray(json.load(...))``.
-   The parser takes JSON's numbers, ``NaN``, ``Infinity`` and
-   ``-Infinity``, and also ``+1``, ``.5``, ``1.``, ``01``, and ``nan``,
-   ``inf`` and ``infinity`` in any case.  The one difference in bits: ``-0``
-   reads as -0.0, where :mod:`json` reads the integer 0.
+2. It is cut at commas into chunks of at most 128 KB, and each chunk is
+   read in one pass: its skeleton, its ``[``, ``]`` and ``,`` bytes in
+   order, and its entries, which, once checked for empty ones, are parsed
+   by ``np.fromstring`` with the brackets blanked.  Its decimal-to-double
+   conversion is CPython's correctly rounded one (``PyOS_string_to_double``),
+   the one ``float()``, and so :mod:`json`, uses; so the arrays hold the
+   bits of ``np.asarray(json.load(...))``.  The parser takes JSON's
+   numbers, ``NaN``, ``Infinity`` and ``-Infinity``, and also ``+1``,
+   ``.5``, ``1.``, ``01``, and ``nan``, ``inf`` and ``infinity`` in any
+   case.  The one difference in bits: ``-0`` reads as -0.0, where
+   :mod:`json` reads the integer 0.
+3. The chunks' skeletons, joined by commas, must equal the skeleton of the
+   shape the header declares.  Then the array is neither ragged nor of
+   another shape, and its chunks' entries, one after another, are its
+   entries in C order.  Only once both arrays pass is a chunk with an entry
+   that is not a number named.
 
-The chunks are parsed by :func:`bvlab._workers.run_timed`: the first ones
+The chunks are read by :func:`bvlab._workers.run_timed`: the first ones
 here, timed, and the rest, when they take long enough, over the worker
 processes in contiguous blocks of chunks; a worker is sent only the bytes
 its chunks span.  No Python object is made per value.  Beyond the file's
-bytes and the arrays, a parse holds a chunk's temporaries per process and,
-when split, the bytes sent to each worker and the values it sends back.
+bytes and the arrays, a parse holds each chunk's skeleton and values, a
+chunk's temporaries per process and, when split, the bytes sent to each
+worker.
 """
 
 from __future__ import annotations
@@ -51,10 +55,11 @@ _SIZES = ("test_count", "k", "N", "c")
 _FIELDS = (*_SIZES, "outputs", "labels", "kind")
 
 # Bytes of number text per chunk, at most; a parse has at least one chunk per
-# CPU.  A chunk's temporaries (its bytes, their copy with blanked brackets,
-# its parsed values) are about three times this.  Chunks are the units a
-# split is timed by and cut into, so one (2-3 ms on a 2-vCPU VM) is a small
-# share of the 40-60 ms a 3 MB dump takes to parse.
+# CPU.  A chunk's temporaries (its bytes, their copies without spacing and
+# with blanked brackets, its skeleton and parsed values) are about three
+# times this.  Chunks are the units a split is timed by and cut into, so one
+# (2-3 ms on a 2-vCPU VM) is a small share of the 40-60 ms a 3 MB dump takes
+# to parse.
 _CHUNK = 1 << 17
 
 _BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
@@ -100,27 +105,25 @@ def read_dump(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     names = sorted(shapes, key=lambda name: spans[name][0])  # in file order
     text_bytes = sum(spans[name][1] - spans[name][0] for name in names)
     size = min(_CHUNK, -(-text_bytes // _workers.available()))
-    pieces: list[tuple[int, int, int, int]] = []
-    offsets = {}
-    first = 0
+    pieces = {name: _cut(data, *spans[name], size) for name in names}
+    chunks = _Chunks(data, [piece for name in names for piece in pieces[name]])
+    blocks = _workers.run_timed(_parse_chunks, len(chunks), sliced=(chunks,))
+    results = (result for block in blocks for result in block)
+    parsed = {name: [next(results) for _ in pieces[name]] for name in names}
     for name in names:
-        offsets[name] = first
-        pieces += _pieces(data, *spans[name], size, name, shapes[name], first)
-        first += math.prod(shapes[name])
-    values = np.empty(first)
-    try:
-        parts_done = _workers.run_timed(_parse_chunks, len(pieces),
-                                        sliced=(_Chunks(data, pieces, out=values),))
-    except _NotANumber as exc:
-        start, stop = exc.args
-        name = next(name for name in names if spans[name][0] <= start < spans[name][1])
-        raise ValueError(_malformed(name, shapes[name], f"an entry in bytes {start}-{stop - 1} "
-                                    "is not a number")) from None
-    for at, block in parts_done:
-        if block is not None:  # parsed in a worker
-            values[at:at + block.size] = block
-    outputs, labels = (values[offsets[name]:offsets[name] + math.prod(shapes[name])]
-                       .reshape(shapes[name]) for name in _ARRAYS)
+        shape, skeletons = shapes[name], [skeleton for skeleton, _ in parsed[name]]
+        if (sum(map(len, skeletons)) + len(skeletons) - 1 != _skeleton_length(shape)
+                or b",".join(skeletons) != _skeleton(shape)):
+            raise ValueError(_malformed(name, shape, "its nesting or lengths differ"))
+    for name in names:
+        for (start, stop), (_, entries) in zip(pieces[name], parsed[name]):
+            if entries is None:
+                raise ValueError(_malformed(name, shapes[name], f"an entry in bytes "
+                                            f"{start}-{stop - 1} is not a number"))
+    values = np.concatenate([entries for name in names for _, entries in parsed[name]])
+    first = math.prod(shapes[names[0]])
+    arrays = dict(zip(names, (values[:first], values[first:])))  # views of one buffer
+    outputs, labels = (arrays[name].reshape(shapes[name]) for name in _ARRAYS)
     return outputs, labels, kind
 
 
@@ -230,52 +233,34 @@ def _skeleton(shape: tuple[int, ...]) -> bytes:
     return text
 
 
-def _pieces(data: bytes, start: int, end: int, size: int, name: str,
-            shape: tuple[int, ...], first: int) -> list[tuple[int, int, int, int]]:
-    """``data[start:end]``, an array of ``shape``, cut at commas into chunks of
-    about ``size`` bytes: ``(start, stop, first value, value count)`` each."""
+def _cut(data: bytes, start: int, end: int, size: int) -> list[tuple[int, int]]:
+    """``data[start:end]`` cut at commas into chunks of about ``size`` bytes:
+    ``(start, stop)`` each."""
     bounds = []
     while True:
         cut = data.find(b",", start + size, end) if start + size < end else -1
         bounds.append((start, end if cut < 0 else cut))
         if cut < 0:
-            break
+            return bounds
         start = cut + 1
-    skeletons = [data[a:b].translate(None, _NOT_SKELETON) for a, b in bounds]
-    if (sum(map(len, skeletons)) + len(skeletons) - 1 != _skeleton_length(shape)
-            or b",".join(skeletons) != _skeleton(shape)):
-        raise ValueError(_malformed(name, shape, "its nesting or lengths differ"))
-    pieces = []
-    for (a, b), skeleton in zip(bounds, skeletons):
-        count = skeleton.count(b",") + 1
-        pieces.append((a, b, first, count))
-        first += count
-    return pieces
-
-
-class _NotANumber(ValueError):
-    """An entry of the chunk in file bytes ``args = (start, stop)`` is not a number."""
 
 
 class _Chunks:
     """Chunks of a dump's number arrays, one per index of a split.
 
-    ``pieces`` are ``(start, stop, first, count)``: a chunk's file bytes, the
-    index of its first value and its value count; byte ``i`` of the file is
-    ``text[i - base]``.  ``out`` receives the values in this process; a
-    pickle, which is how a worker receives its block, holds only the bytes
-    the pieces span and no ``out``.
+    ``pieces`` are the chunks' file bytes ``(start, stop)``; byte ``i`` of
+    the file is ``text[i - base]``.  A pickle, which is how a worker
+    receives its block, holds only the bytes the pieces span.
     """
 
-    def __init__(self, text: bytes, pieces: list, base: int = 0,
-                 out: Optional[np.ndarray] = None) -> None:
-        self.text, self.pieces, self.base, self.out = text, pieces, base, out
+    def __init__(self, text: bytes, pieces: list, base: int = 0) -> None:
+        self.text, self.pieces, self.base = text, pieces, base
 
     def __len__(self) -> int:
         return len(self.pieces)
 
     def __getitem__(self, index: slice) -> _Chunks:
-        return _Chunks(self.text, self.pieces[index], self.base, self.out)
+        return _Chunks(self.text, self.pieces[index], self.base)
 
     def __reduce__(self):
         lo, hi = self.pieces[0][0] - self.base, self.pieces[-1][1] - self.base
@@ -284,29 +269,28 @@ class _Chunks:
         return _Chunks, (span, self.pieces, self.base + lo)
 
 
-def _parse_chunks(lo: int, hi: int, chunks: _Chunks) -> tuple[int, Optional[np.ndarray]]:
-    """Parse a block of chunks: ``(first value index, values)``, with values
-    None when they went into ``chunks.out``.
-
-    Raises:
-        _NotANumber: for the first chunk with an entry that is not a number.
-    """
-    first = chunks.pieces[0][2]
-    total = sum(count for *_, count in chunks.pieces)
-    into = np.empty(total) if chunks.out is None else chunks.out[first:first + total]
-    for start, stop, at, count in chunks.pieces:
+def _parse_chunks(lo: int, hi: int, chunks: _Chunks) -> list[tuple[bytes, Optional[np.ndarray]]]:
+    """``(skeleton, values)`` of each chunk of a block: its ``[``, ``]`` and
+    ``,`` bytes in order, and its entries, or None if one is not a number."""
+    parsed = []
+    for start, stop in chunks.pieces:
         text = chunks.text[start - chunks.base:stop - chunks.base]
-        # np.fromstring reads an entry of only white space as -1.
-        dense = text.translate(None, _SPACING)
-        if not dense or dense[:1] == b"," or dense[-1:] == b"," or b",," in dense:
-            raise _NotANumber(start, stop)
-        # The extra entry ",0" must be read too: where the last entry has
-        # trailing bytes, older NumPy versions warn and return what they read.
-        try:
-            parsed = np.fromstring(text.translate(_BLANK_BRACKETS) + b",0", sep=",")
-        except ValueError:
-            parsed = None
-        if parsed is None or parsed.size != count + 1:
-            raise _NotANumber(start, stop)
-        into[at - first:at - first + count] = parsed[:-1]
-    return first, (into if chunks.out is None else None)
+        skeleton = text.translate(None, _NOT_SKELETON)
+        parsed.append((skeleton, _numbers(text, skeleton.count(b",") + 1)))
+    return parsed
+
+
+def _numbers(text: bytes, count: int) -> Optional[np.ndarray]:
+    """The ``count`` comma-separated entries of ``text``, brackets ignored,
+    or None if one is not a number."""
+    # np.fromstring reads an entry of only white space as -1.
+    dense = text.translate(None, _SPACING)
+    if not dense or dense[:1] == b"," or dense[-1:] == b"," or b",," in dense:
+        return None
+    # The extra entry ",0" must be read too: where the last entry has
+    # trailing bytes, older NumPy versions warn and return what they read.
+    try:
+        parsed = np.fromstring(text.translate(_BLANK_BRACKETS) + b",0", sep=",")
+    except ValueError:
+        return None
+    return parsed[:-1] if parsed.size == count + 1 else None

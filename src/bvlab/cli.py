@@ -103,9 +103,12 @@ class SimulateConfig(Config):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for lambda0 in self.lambda0:  # the ridge (n/d) * lambda0 must be finite
+        for lambda0 in self.lambda0:  # the ridge (n/d) * lambda0 finite, W's system regular
             try:
-                twolayer.ModelDims(d=self.d, n=self.n, p=1, lambda0=lambda0)
+                twolayer.ModelDims(d=self.d, n=self.n, p=max(self.p),
+                                   lambda0=lambda0).require_regular()
+            except twolayer.SingularSystemError as exc:
+                raise ConfigError(f"lambda0={lambda0}: {exc}") from exc
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
 

@@ -130,6 +130,12 @@ class ModelDims:
             raise ValueError(f"lambda0={self.lambda0!r} overflows the ridge (n/d) * lambda0 "
                              f"at n/d={self.n / self.d!r}")
 
+    def require_regular(self) -> None:
+        """Raise :class:`SingularSystemError` at lam = 0 with p > min(d, n),
+        where W's p x p ridge system has rank at most min(d, n)."""
+        if self.lam == 0.0 and self.p > min(self.d, self.n):
+            raise _rank_deficient(min(self.d, self.n), self.p)
+
     @property
     def gamma(self) -> float:
         return self.p / self.d
@@ -364,9 +370,7 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     d = dims.d
-    if dims.lam == 0.0 and dims.p > min(d, dims.n):
-        # The trials' stand-in first layer hides this: R^T's system is regular.
-        raise _rank_deficient(min(d, dims.n), dims.p)
+    dims.require_regular()  # the trials' stand-in hides it: R^T's system is regular
     blocks = _workers.run_timed(_bias_variance_trials, trials, dims, master_seed)
     sq_sum = 0.0
     trace_sum = 0.0

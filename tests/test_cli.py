@@ -150,6 +150,17 @@ class TestConfigParsing:
         assert "config error: lambda0=1e+307 overflows the ridge" in err
         assert "n/d=200.0" in err
 
+    def test_unregularized_wide_layer_exits_2_before_any_point(self, monkeypatch, capsys):
+        """lambda0 = 0 with p > min(d, n) fails the config, naming lambda0 and
+        p, before the first point, here the regular (0, 2) one, runs."""
+        monkeypatch.setattr(twolayer, "mc_bias_variance",
+                            lambda *args: pytest.fail("a point ran"))
+        assert run_with("simulate", {"lambda0": "0,1", "d": "4", "n": "100",
+                                     "p": "2,8", "trials": "2"}) == 2
+        err = capsys.readouterr().err
+        assert "config error: lambda0=0.0: Gram matrix is singular at lam=0" in err
+        assert "p = 8" in err
+
     @pytest.mark.parametrize("mode, key", [
         ("simulate", "widths"),
         ("theory", "seed"),
@@ -814,6 +825,10 @@ MALFORMED_DUMPS = {
                2, f"outputs .*{SHAPE}.*nesting or lengths"),
     "flat": (json.dumps({**GOOD_DUMP, "outputs": [0.5, 2.5, 1.5, 0.25]}),
              2, f"outputs .*{SHAPE}.*nesting or lengths"),
+    "ragged with a non-number": (json.dumps({**GOOD_DUMP, "outputs": [[[[0.5, True], [1.5]]]]}),
+                                 2, f"outputs .*{SHAPE}.*nesting or lengths"),
+    "huge declared shape": (json.dumps({**GOOD_DUMP, "test_count": 10**12}),
+                            2, r"outputs .*shape \(1000000000000, 1, 2, 2\).*nesting or lengths"),
     "not an array": (json.dumps({**GOOD_DUMP, "labels": {"0": [1, 0]}}),
                      2, r"labels .*shape \(1, 2\).*not an array"),
     "top-level list": (json.dumps([GOOD_DUMP]), 2, "must be a JSON object"),
