@@ -30,8 +30,10 @@ An array is read in three steps:
 
 The chunks are read by :func:`bvlab._workers.run_timed`: the first ones
 here, timed, and the rest, when they take long enough, over the worker
-processes in contiguous blocks of chunks; a worker is sent only the bytes
-its chunks span.  No Python object is made per value.  Beyond the file's
+processes in contiguous blocks of chunks.  Each chunk is a
+:class:`pickle.PickleBuffer` view of the file's bytes, so a worker is sent
+only its own chunks' bytes, copied once into its request, and unpickles each
+as ``bytes``.  No Python object is made per value.  Beyond the file's
 bytes and the arrays, a parse holds each chunk's skeleton and values, a
 chunk's temporaries per process and, when split, the bytes sent to each
 worker.
@@ -106,7 +108,10 @@ def read_dump(path: str) -> tuple[np.ndarray, np.ndarray, str]:
     text_bytes = sum(spans[name][1] - spans[name][0] for name in names)
     size = min(_CHUNK, -(-text_bytes // _workers.available()))
     pieces = {name: _cut(data, *spans[name], size) for name in names}
-    chunks = _Chunks(data, [piece for name in names for piece in pieces[name]])
+    view = memoryview(data)
+    # Each view pickles as bytes: a worker is sent only its own chunks.
+    chunks = [pickle.PickleBuffer(view[start:stop])
+              for name in names for start, stop in pieces[name]]
     blocks = _workers.run_timed(_parse_chunks, len(chunks), sliced=(chunks,))
     results = (result for block in blocks for result in block)
     parsed = {name: [next(results) for _ in pieces[name]] for name in names}
@@ -245,36 +250,12 @@ def _cut(data: bytes, start: int, end: int, size: int) -> list[tuple[int, int]]:
         start = cut + 1
 
 
-class _Chunks:
-    """Chunks of a dump's number arrays, one per index of a split.
-
-    ``pieces`` are the chunks' file bytes ``(start, stop)``; byte ``i`` of
-    the file is ``text[i - base]``.  A pickle, which is how a worker
-    receives its block, holds only the bytes the pieces span.
-    """
-
-    def __init__(self, text: bytes, pieces: list, base: int = 0) -> None:
-        self.text, self.pieces, self.base = text, pieces, base
-
-    def __len__(self) -> int:
-        return len(self.pieces)
-
-    def __getitem__(self, index: slice) -> _Chunks:
-        return _Chunks(self.text, self.pieces[index], self.base)
-
-    def __reduce__(self):
-        lo, hi = self.pieces[0][0] - self.base, self.pieces[-1][1] - self.base
-        # Copied once, into the pickle (protocol 5), not first into a slice.
-        span = pickle.PickleBuffer(memoryview(self.text)[lo:hi])
-        return _Chunks, (span, self.pieces, self.base + lo)
-
-
-def _parse_chunks(lo: int, hi: int, chunks: _Chunks) -> list[tuple[bytes, Optional[np.ndarray]]]:
+def _parse_chunks(lo: int, hi: int, chunks: list) -> list[tuple[bytes, Optional[np.ndarray]]]:
     """``(skeleton, values)`` of each chunk of a block: its ``[``, ``]`` and
     ``,`` bytes in order, and its entries, or None if one is not a number."""
     parsed = []
-    for start, stop in chunks.pieces:
-        text = chunks.text[start - chunks.base:stop - chunks.base]
+    for chunk in chunks:
+        text = bytes(chunk)  # a worker's chunk is bytes already: not copied
         skeleton = text.translate(None, _NOT_SKELETON)
         parsed.append((skeleton, _numbers(text, skeleton.count(b",") + 1)))
     return parsed

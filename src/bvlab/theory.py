@@ -16,7 +16,7 @@ All functions are pure; concurrent use is unrestricted.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +57,41 @@ class BiasVarianceRisk(NamedTuple):
     risk: float
 
 
+# Arguments in [_TINY, _HUGE] keep every float intermediate of the closed
+# forms a normal double, so their values keep relative precision.  Beyond,
+# a square overflows or a product underflows; there the same expressions are
+# taken in decimals whose exponents no double reaches, then rounded.
+_TINY, _HUGE = 1e-150, 1e150
+
+
+def _in_range(lambda0, x):
+    """Whether ``lambda0`` is in ``[_TINY, _HUGE]``, or 0 (which
+    :func:`bias_derivative` takes, and which no product underflows from),
+    and ``x`` is in ``[_TINY, _HUGE]``; elementwise on arrays."""
+    return ((lambda0 == 0.0) | (_TINY <= lambda0) & (lambda0 <= _HUGE)) & (
+        (_TINY <= x) & (x <= _HUGE))
+
+
+def _evaluate(fn: Callable, lambda0: float, x: float):
+    """``fn(lambda0, x)`` as floats, or a tuple of them, taken on floats
+    where :func:`_in_range` holds and on 34-digit decimals elsewhere."""
+    if _in_range(lambda0, x):
+        return fn(float(lambda0), float(x))
+    import decimal  # here only: importing it costs about 1 ms of set-up
+
+    # No traps: a NaN or infinite argument of closed_form gives NaN, as on floats.
+    wide = decimal.Context(prec=34, Emin=-99_999, Emax=99_999, traps=[])
+    with decimal.localcontext(wide):
+        value = fn(decimal.Decimal(lambda0), decimal.Decimal(x))
+    return tuple(map(float, value)) if isinstance(value, tuple) else float(value)
+
+
+def _sqrt(x):
+    """Correctly rounded on floats, arrays and decimals alike (``** 0.5`` is
+    not on floats); ``math.sqrt`` gives a float the bits ``np.sqrt`` gives."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
 def closed_form(lambda0: float | np.ndarray, gamma: float | np.ndarray) -> tuple:
     """``(bias_sq, variance, risk, phi2, phi3)`` at ``(lambda0, gamma)``.
 
@@ -64,7 +99,9 @@ def closed_form(lambda0: float | np.ndarray, gamma: float | np.ndarray) -> tuple
     the same operations on both, so a grid evaluated as arrays agrees with
     :func:`theory_point` bit for bit.  Arguments are not validated: the
     domain is ``lambda0 > 0`` and ``gamma > 0`` (``phi2`` and ``phi3`` also
-    stay finite at ``lambda0 = 0`` for ``gamma != 1``).
+    stay finite at ``lambda0 = 0`` for ``gamma != 1``).  Beyond about 1e150
+    and below about 1e-150 the values are taken in wide-range decimals, so
+    they stay finite and accurate to the last places of a double.
 
     With ``u = (gamma - 1) + lambda0``, ``v = gamma + lambda0`` and
     ``q = u*v + 2*lambda0``, every subtraction below is of terms with
@@ -77,28 +114,36 @@ def closed_form(lambda0: float | np.ndarray, gamma: float | np.ndarray) -> tuple
       ``4*lambda0*gamma / (phi2*v + q)`` when ``q > 0``.
 
     Each choice is made by multiplying both candidates by a comparison
-    (``True`` and ``False`` act as 1 and 0), which works unchanged on floats
-    and arrays; both candidates are finite on the domain, so the product
-    with 0 is exactly 0.
+    (``True`` and ``False`` act as 1 and 0), which works unchanged on floats,
+    arrays and decimals; both candidates are finite on the domain, so the
+    product with 0 is exactly 0.
     """
-    u = (gamma - 1.0) + lambda0
-    v = gamma + lambda0
-    q = u * v + 2.0 * lambda0
-    c = 4.0 * lambda0
-    # np.sqrt is correctly rounded on both paths (``** 0.5`` is not on
-    # floats).  For a float it returns a NumPy scalar, on which arithmetic
-    # costs several times that on a Python float and gives the same bits.
-    phi2 = np.sqrt(u * u + c)
-    if isinstance(u, float):
-        phi2 = float(phi2)
-    w = phi2 + abs(u)
-    phi3 = c * (u > 0.0) / w + w * (u <= 0.0)
-    z = phi2 * v + abs(q)
-    d = c * gamma * (q > 0.0) / z + z * (q <= 0.0)
-    h = 0.25 * phi3
-    bias_sq = h * phi3
-    variance = h * d / phi2
+    if isinstance(lambda0, np.ndarray) or isinstance(gamma, np.ndarray):
+        lambda0, gamma = np.broadcast_arrays(np.asarray(lambda0, float), np.asarray(gamma, float))
+        if _in_range(lambda0, gamma).all():
+            parts = _closed_form(lambda0, gamma)
+        else:  # point by point, each as the scalar path takes it
+            points = [_evaluate(_closed_form, *pair) for pair in zip(lambda0.flat, gamma.flat)]
+            parts = [np.reshape(part, lambda0.shape) for part in zip(*points)]
+    else:
+        parts = _evaluate(_closed_form, lambda0, gamma)
+    bias_sq, variance, phi2, phi3 = parts
     return bias_sq, variance, bias_sq + variance, phi2, phi3
+
+
+def _closed_form(lambda0, gamma) -> tuple:
+    """``(bias_sq, variance, phi2, phi3)``, as :func:`closed_form` describes."""
+    u = (gamma - 1) + lambda0
+    v = gamma + lambda0
+    q = u * v + 2 * lambda0
+    c = 4 * lambda0
+    phi2 = _sqrt(u * u + c)
+    w = phi2 + abs(u)
+    phi3 = c * (u > 0) / w + w * (u <= 0)
+    z = phi2 * v + abs(q)
+    d = c * gamma * (q > 0) / z + z * (q <= 0)
+    h = phi3 / 4
+    return h * phi3, h * d / phi2, phi2, phi3
 
 
 def theory_point(lambda0: float, gamma: float) -> BiasVarianceRisk:
@@ -137,8 +182,12 @@ def bias_derivative(lambda0: float, gamma: float) -> float:
     if lambda0 == 0.0 and gamma == 1.0:
         # phi2 = phi3 = 0 only here, and phi3^2 / phi2 <= 4 phi2 -> 0.
         return 0.0
-    *_, p2, p3 = closed_form(lambda0, gamma)
-    return -(p3 * p3) / (2.0 * p2)
+    return _evaluate(_bias_derivative, lambda0, gamma)
+
+
+def _bias_derivative(lambda0, gamma):
+    *_, p2, p3 = _closed_form(lambda0, gamma)
+    return -(p3 * p3) / (2 * p2)
 
 
 def small_lambda_expansion(lambda0: float, gamma: float) -> tuple[float, float]:
@@ -264,7 +313,7 @@ def narayana_series_closed(lambda0: float, eta: float) -> float:
     return -2.0 / (le + 1.0 + eta + math.sqrt(disc))
 
 
-def _spectral_mean_inverse_square(alpha: float, eta: float) -> float:
+def _spectral_mean_inverse_square(alpha: float, eta: float, gap: float) -> float:
     """E[1 / (1 + (alpha/eta)x)^2] under the Marchenko-Pastur law of ratio eta <= 1.
 
     Algebraically ``num / (2*eta*s) - (1 - eta) / (2*eta)`` with
@@ -272,12 +321,12 @@ def _spectral_mean_inverse_square(alpha: float, eta: float) -> float:
     ``s^2 = eta^2 + 2*eta*alpha*(1+eta) + alpha^2*(1-eta)^2``.  Since
     ``num^2 - (1-eta)^2 * s^2 = 4*eta^3``, it is evaluated as
     ``2*eta^2 / (s * (num + (1-eta)*s))``, which subtracts nothing and so
-    keeps relative precision where the difference cancels.
+    keeps relative precision where the difference cancels.  ``gap`` is
+    ``1 - eta``, computed by the caller.
     """
-    gap = 1.0 - eta
-    num = alpha * gap * gap + eta * (1.0 + eta)
-    s = math.sqrt(eta * eta + 2.0 * eta * alpha * (1.0 + eta) + alpha * alpha * gap * gap)
-    return 2.0 * eta * eta / (s * (num + gap * s))
+    num = alpha * gap * gap + eta * (1 + eta)
+    s = _sqrt(eta * eta + 2 * eta * alpha * (1 + eta) + alpha * alpha * gap * gap)
+    return 2 * eta * eta / (s * (num + gap * s))
 
 
 def mp_risk(lambda0: float, eta: float) -> float:
@@ -293,8 +342,14 @@ def mp_risk(lambda0: float, eta: float) -> float:
     ``mp_risk(lambda0, eta) == theory_point(lambda0, 1/eta).risk``.
     """
     _require_positive(lambda0=lambda0, eta=eta)
-    alpha = 1.0 / lambda0
-    if eta <= 1.0:
-        return _spectral_mean_inverse_square(alpha, eta)
-    inv = 1.0 / eta
-    return (1.0 - inv) + inv * _spectral_mean_inverse_square(alpha * inv, inv)
+    return _evaluate(_mp_risk, lambda0, eta)
+
+
+def _mp_risk(lambda0, eta):
+    alpha = 1 / lambda0
+    if eta <= 1:
+        return _spectral_mean_inverse_square(alpha, eta, 1 - eta)
+    # 1 - 1/eta is taken as (eta - 1)/eta, which keeps relative precision as
+    # eta -> 1+ (subtracting a rounded 1/eta from 1 does not).
+    inv, gap = 1 / eta, (eta - 1) / eta
+    return gap + inv * _spectral_mean_inverse_square(alpha * inv, inv, gap)

@@ -395,6 +395,13 @@ class TestMainEntry:
         assert main(args) == 0
         assert out.read_bytes() == first
 
+    def test_theory_beyond_1e154_is_exact_and_silent(self, capsys):
+        """u^2 overflows there in doubles; the row is exact, with no warning."""
+        assert main(["theory", "--set", "lambda0=1e300", "--set", "gamma=1e300"]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[1] == "theory,1e+300,1e+300,,,,,,,,0.25,0.25,6.25e-302,"
+        assert err == ""
+
     def test_mlp_sweep_rerun_identical(self, tmp_path):
         cfg_path = tmp_path / "sweep.cfg"
         cfg_path.write_text(

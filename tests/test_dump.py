@@ -121,6 +121,24 @@ def test_a_bad_entry_in_a_worker_block_is_named(monkeypatch, tmp_path):
     assert_only_pool_workers()
 
 
+@needs_fork
+def test_a_worker_is_sent_only_its_own_chunks(monkeypatch, tmp_path):
+    path, text = big_dump(tmp_path)
+    monkeypatch.setattr(dump, "_CHUNK", 997)
+    force_processes(monkeypatch, 2)
+    sizes = []
+    write = workers._write
+
+    def recorded(fd, payload):
+        sizes.append(len(payload))
+        write(fd, payload)
+
+    monkeypatch.setattr(workers, "_write", recorded)
+    dump.read_dump(str(path))
+    assert len(sizes) == 1  # this process writes only the request of block 1
+    assert sizes[0] < 0.6 * len(text.encode())  # about half of the dump, not all of it
+
+
 def test_the_one_block_writes_in_place(tmp_path):
     path, _ = big_dump(tmp_path, shape=(3, 1, 2, 2))
     outputs, labels, _ = dump.read_dump(str(path))

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy import integrate
 from bvlab.theory import (
     PeakSearchError,
     bias_derivative,
+    closed_form,
     mp_risk,
     narayana,
     narayana_series,
@@ -179,6 +181,90 @@ class TestRelativeAccuracy:
         assert point.variance >= 0.0
         assert point.risk == point.bias_sq + point.variance
         assert theory_point(lam0, gamma * (1.0 + 1e-3)).bias_sq <= point.bias_sq
+
+
+def exact(lambda0: float, gamma: float, inverse: bool = False) -> list[float]:
+    """(bias_sq, variance, risk, d bias_sq / d gamma) from the direct forms,
+    correctly rounded wherever they are normal doubles; at ``1 / gamma`` in
+    place of ``gamma`` when ``inverse``.
+
+    ``phi3 = phi2 - u`` cancels by up to ``log10(u^2 / lambda0)`` digits, and
+    the risk's two terms and ``risk - bias_sq`` by up to
+    ``log10(gamma / value)`` digits for a value above 1e-330, so the working
+    precision carries ``3 * (|log10 lambda0| + |log10 gamma|)`` guard digits
+    on top of 400.  A second evaluation 200 digits finer must agree.
+    """
+    def direct(dps):
+        with mp.workdps(dps):
+            lam, g = mpf(lambda0), 1 / mpf(gamma) if inverse else mpf(gamma)
+            u = g + lam - 1
+            phi2 = mp.sqrt(u * u + 4 * lam)
+            phi3 = phi2 - u
+            bias = phi3 * phi3 / 4
+            risk = (lam * (g + 1) + (g - 1) ** 2) / (2 * phi2) + (1 - g) / 2
+            return [float(bias), float(risk - bias), float(risk), float(-2 * bias / phi2)]
+
+    guard = 3 * math.ceil(abs(math.log10(lambda0)) + abs(math.log10(gamma)))
+    values = direct(400 + guard)
+    for value, finer in zip(values, direct(600 + guard)):
+        assert close(value, finer, 1e-15)
+    return values
+
+
+def close(got: float, want: float, rel: float = 1e-10) -> bool:
+    """Within ``rel`` of ``want``, relative to the least normal double when
+    ``want`` is below it."""
+    return abs(got - want) <= rel * max(abs(want), sys.float_info.min)
+
+
+# Subnormal, tiny, normal, huge and largest doubles; (1e160, 1) and
+# (1e300, 1e300) once read NaN.
+EXTREMES = (5e-324, 1e-310, 1e-300, 1e-160, 1e-151, 0.5, 1.0, 1.0 + 2**-52, 2.0,
+            1e151, 1e160, 1e300, sys.float_info.max)
+
+
+class TestWholeDoubleRange:
+    """Every finite positive argument: finite, nonnegative values within
+    1e-10 of the exact ones, beyond the range where u^2 and products of the
+    arguments stay normal doubles."""
+
+    def check(self, lam0, gamma, eta):
+        point = theory_point(lam0, gamma)
+        assert min(point) >= 0.0 and math.isfinite(point.risk)
+        assert point.risk == point.bias_sq + point.variance
+        want = exact(lam0, gamma)
+        got = (*point, bias_derivative(lam0, gamma))
+        assert all(map(close, got, want)), (lam0, gamma, got, want)
+        risk = mp_risk(lam0, eta)
+        assert risk >= 0.0 and close(risk, exact(lam0, eta, inverse=True)[2]), (lam0, eta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(*[st.floats(min_value=-300.0, max_value=300.0)] * 3)
+    def test_log_uniform_arguments(self, log_lambda0, log_gamma, log_eta):
+        self.check(10.0**log_lambda0, 10.0**log_gamma, 10.0**log_eta)
+
+    @pytest.mark.parametrize("lam0", EXTREMES)
+    def test_extreme_arguments(self, lam0):
+        for gamma in EXTREMES:
+            self.check(lam0, gamma, gamma)
+
+    def test_values_once_nan_or_raising(self):
+        assert theory_point(1e160, 1.0) == (1.0, 1e-320, 1.0)
+        assert theory_point(1e300, 1e300) == (0.25, 6.25e-302, 0.25)
+        assert close(mp_risk(1e-160, 1.0), 5e-81, 1e-15)
+        assert close(mp_risk(1.0, 1e300), 1.0, 1e-15)
+
+    def test_arrays_agree_with_scalars(self):
+        grid = np.asarray(EXTREMES)
+        arrays = closed_form(grid[:, None], grid)
+        for i, lam0 in enumerate(EXTREMES):
+            for j, gamma in enumerate(EXTREMES):
+                assert [part[i, j] for part in arrays] == list(closed_form(lam0, gamma))
+
+    def test_mp_risk_just_above_eta_one(self):
+        """1 - 1/eta loses the digits of a rounded 1/eta there."""
+        for eta in (1.0 + 2**-52, 1.0 + 1e-12, 1.0 + 1e-8):
+            assert close(mp_risk(1e-100, eta), exact(1e-100, eta, inverse=True)[2])
 
 
 class TestBiasDerivative:

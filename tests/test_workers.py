@@ -335,6 +335,7 @@ class TestRunBlocks:
         script = (
             "import os, bvlab._workers as w, bvlab.cli as cli\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "w.MIN_SPLIT_US = 0.0\n"  # 40 trials at p = 32 split on any host
             "assert cli.main(['simulate', '--set', 'lambda0=1', '--set', 'd=64', "
             "'--set', 'n=6400', '--set', 'p=32', '--set', 'trials=40', "
             "'--out', os.devnull]) == 0\n"
