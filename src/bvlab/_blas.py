@@ -92,12 +92,11 @@ def _lapack() -> Optional[tuple[Any, Any]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _strictly_upper(n: int) -> np.ndarray:
-    """Flat indices of the entries above the diagonal of an n x n array."""
-    rows, cols = np.triu_indices(n, 1)
-    flat = rows * n + cols
-    flat.setflags(write=False)  # shared by every caller through the cache
-    return flat
+def _above_diagonal(n: int) -> np.ndarray:
+    """The n x n boolean mask of the entries above the diagonal."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.setflags(write=False)  # shared by every caller through the cache
+    return mask
 
 
 def inverse_cholesky(a: np.ndarray) -> np.ndarray:
@@ -122,7 +121,7 @@ def inverse_cholesky(a: np.ndarray) -> np.ndarray:
         trtri(b"U", b"N", n, data, n, info, 1, 1)
     if info.value:
         raise np.linalg.LinAlgError(f"Matrix is not positive definite (LAPACK info {info.value})")
-    a.put(_strictly_upper(a.shape[0]), 0.0)
+    np.copyto(a, 0.0, where=_above_diagonal(a.shape[0]))
     return a
 
 

@@ -30,7 +30,8 @@ An array is read in three steps:
 
 The chunks are read by :func:`bvlab._workers.run_timed`: the first ones
 here, timed, and the rest, when they take long enough, over the worker
-processes in contiguous blocks of chunks.  Each chunk is a
+processes in contiguous blocks of chunks (a small dump's at once, once the
+workers run).  Each chunk is a
 :class:`pickle.PickleBuffer` view of the file's bytes, so a worker is sent
 only its own chunks' bytes, copied once into its request, and unpickles each
 as ``bytes``.  No Python object is made per value.  Beyond the file's

@@ -19,6 +19,16 @@ own slice of each per-index argument (``sliced``).  A worker
 exits when its request pipe reaches end of file, i.e. when the parent
 closes it (:func:`shutdown`, also run at exit) or dies.
 
+This process also keeps the read end of each worker's request pipe, which
+is non-blocking (for the worker too, which waits in ``poll``).  A request
+of at most ``select.PIPE_BUF`` bytes, header included, is written in one
+atomic write and read in one read, so exactly one side reads it: the
+worker, which then runs the block, or this process, which takes it back
+and runs the block itself (see :func:`run_timed`).  As that read end keeps
+a request pipe open, a dead worker no longer fails a write: a write that
+finds the pipe full waits for room or for the worker's reply pipe to hang
+up.
+
 Block functions must be module-level functions that pickle by reference
 and are not replaced at run time (a replaced module attribute no longer
 pickles as the function it wraps).  One split at a time uses the pool: a
@@ -32,8 +42,10 @@ across one, so a worker never waits on a lock held by a thread it lacks.
 A worker lives as long as this process and holds its own copy-on-write
 image of it (70-124 MB peak resident after a benchmark-sized run), so
 counting workers by the affinity mask assumes the mask is the CPU share the
-process really gets.  :func:`run_timed` sizes a split by its work: it times
-a lead slice of the units here and splits only what is left.
+process really gets.  :func:`run_timed` splits a call whose requests are
+small at once when every worker it needs is already running, and otherwise
+sizes a split by its work: it times a lead slice of the units here and
+splits only what is left.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ import ctypes
 import math
 import os
 import pickle
+import select
 import threading
 import time
 from dataclasses import dataclass
@@ -60,6 +73,7 @@ class _Worker:
     pid: int
     requests: int  # write end of the worker's request pipe
     replies: int  # read end of its reply pipe
+    unread: int  # read end of its request pipe: takes back a request not yet read
 
 
 _pool: list[Optional[_Worker]] = []  # slot i runs block i + 1; None when dropped
@@ -78,8 +92,12 @@ def available() -> int:
 
 
 # Least estimated work, in microseconds of one core, worth splitting over the
-# pool.  On a 2-vCPU VM a pool round trip (a small pickled request, the worker
-# woken from a pipe read, a small reply) took 38 us in the median between
+# pool after run_timed's lead slice.  A call whose requests are small skips
+# the lead slice once every worker it needs runs (see run_timed), so for the
+# Monte Carlo this decides only whether a process without workers forks them;
+# the emit and the parse, whose requests are large, are still split by it.
+# On a 2-vCPU VM a pool round trip (a small pickled request, the worker woken
+# from a pipe read, a small reply) took 38 us in the median between
 # back-to-back calls, but after 50 ms of idling 0.5 ms in the median, 2.7 ms
 # at the 90th percentile and up to 8 ms: the time to wake a halted vCPU.  A
 # two-way split of W us saves about W / 2 minus that, so from 5 ms on it gains
@@ -87,7 +105,9 @@ def available() -> int:
 # 2.5 ms split ran slower in the mean, while each 40-trial simulate point of
 # criterion 03 (10-20 ms) ran 1.5-1.6x faster in a benchmark-like sequence.
 # The first split of a process also forks its workers (4-14 ms at 0-250 MB
-# resident); a call below the threshold never does.
+# resident); a call below the threshold never does.  A split at once pays no
+# wake-up: a request still unread when this process's block is done is taken
+# back and run here.
 MIN_SPLIT_US = 5_000.0
 
 
@@ -111,30 +131,62 @@ def split_blocks(count: int, unit_us: float) -> int:
 
 def _write(fd: int, payload: bytes) -> None:
     """Send the length header and ``payload`` without joining them: a join
-    would copy every message, 16 MB for a large dump-parse block."""
+    would copy every message, 16 MB for a large dump-parse block.  Up to
+    ``select.PIPE_BUF`` bytes in all, this is one atomic write."""
     views = [memoryview(len(payload).to_bytes(_HEADER, "little")), memoryview(payload)]
     while views:
-        done = os.writev(fd, views)
+        try:
+            done = os.writev(fd, views)
+        except BlockingIOError:  # a full request pipe
+            _wait_for_room(fd)
+            continue
         while views and done >= len(views[0]):
             done -= len(views.pop(0))
         if views:
             views[0] = views[0][done:]
 
 
-def _read_exact(fd: int, size: int) -> bytearray:
-    data = bytearray(size)  # filled in place: 3x faster than joining chunks
-    view = memoryview(data)
-    done = 0
-    while done < size:
-        count = os.readv(fd, [view[done:]])
+def _wait_for_room(requests: int) -> None:
+    """Wait until a worker's request pipe has room; ``BrokenPipeError`` if
+    the worker has died, i.e. its reply pipe hung up, meanwhile."""
+    worker = next(worker for worker in _pool if worker and worker.requests == requests)
+    ready = select.poll()
+    ready.register(requests, select.POLLOUT)
+    ready.register(worker.replies, 0)  # reports only a hang-up or an error
+    if any(fd == worker.replies for fd, _ in ready.poll()):
+        raise BrokenPipeError(f"worker process {worker.pid} hung up")
+
+
+def _read_some(fd: int, view: memoryview, ready: select.poll) -> int:
+    """Read what ``fd`` has into ``view``, in one read, waiting until it has
+    something; raises ``EOFError`` at end of file."""
+    while True:
+        try:
+            count = os.readv(fd, [view])
+        except BlockingIOError:  # an empty request pipe, also once a request is taken back
+            ready.poll()
+            continue
         if not count:
             raise EOFError("pipe closed")
-        done += count
-    return data
+        return count
 
 
 def _read(fd: int) -> bytearray:
-    return _read_exact(fd, int.from_bytes(_read_exact(fd, _HEADER), "little"))
+    """The next message from ``fd``, a reply pipe or a worker's non-blocking
+    request pipe.  A message of at most ``select.PIPE_BUF`` bytes comes whole
+    from the first read, so a request is never half taken back."""
+    ready = select.poll()
+    ready.register(fd, select.POLLIN)
+    first = bytearray(select.PIPE_BUF)
+    got = _read_some(fd, memoryview(first), ready)
+    while got < _HEADER:
+        got += _read_some(fd, memoryview(first)[got:_HEADER], ready)
+    data = bytearray(int.from_bytes(first[:_HEADER], "little"))  # filled in place
+    data[:got - _HEADER] = first[_HEADER:got]
+    done, view = got - _HEADER, memoryview(data)
+    while done < len(data):
+        done += _read_some(fd, view[done:], ready)
+    return data
 
 
 def _pin(cpus: set[int]) -> None:
@@ -188,6 +240,8 @@ def _start(slot: int, mask: set[int]) -> _Worker:
     cpu = cpus[(slot + 1) % len(cpus)]
     request_read, request_write = os.pipe()
     reply_read, reply_write = os.pipe()
+    os.set_blocking(request_read, False)  # for the worker too: it shares the open pipe
+    os.set_blocking(request_write, False)  # see _write
     pid = os.fork()
     if pid == 0:
         code = 1
@@ -199,13 +253,13 @@ def _start(slot: int, mask: set[int]) -> _Worker:
             code = 0
         finally:
             os._exit(code)
-    os.close(request_read)
     os.close(reply_write)
-    return _Worker(pid, request_write, reply_read)
+    return _Worker(pid, request_write, reply_read, request_read)
 
 
 def _pool_fds() -> list[int]:
-    return [fd for worker in _pool if worker for fd in (worker.requests, worker.replies)]
+    return [fd for worker in _pool if worker
+            for fd in (worker.requests, worker.replies, worker.unread)]
 
 
 def _claim() -> None:
@@ -224,8 +278,8 @@ def _drop(slot: int, kill: bool) -> str:
     if worker is None:
         return "dropped"
     _pool[slot] = None
-    os.close(worker.requests)
-    os.close(worker.replies)
+    for fd in (worker.requests, worker.replies, worker.unread):
+        os.close(fd)
     if kill:
         import signal  # here only: importing it costs about 1 ms of set-up
 
@@ -285,10 +339,23 @@ def run_blocks(fn: Callable, count: int, blocks: int, *args, sliced: tuple = ())
 
 
 def run_timed(fn: Callable, count: int, *args, sliced: tuple = ()) -> list:
-    """:func:`run_blocks` over ``range(count)``, split as far as the measured
-    cost of its units pays for; the results of its blocks, in index order.
+    """:func:`run_blocks` over ``range(count)``, split at once or as far as
+    the measured cost of its units pays for; the results of its blocks, in
+    index order.
 
-    A lead slice ``[0, m)`` runs here first, on one BLAS thread, ``m``
+    When a worker for every block of a :func:`run_blocks` split into
+    :func:`available` blocks is already running, and each block's request
+    fits in one atomic pipe write (``select.PIPE_BUF``, 4 KB on Linux; a
+    Monte Carlo block's takes about 140 bytes), the call is split that way
+    at once, however short.  Once its own block is done, this process takes
+    back every request that no worker has read yet, runs those blocks itself
+    in block order, and waits only for the blocks a worker has begun: a
+    worker slow to wake (after idling, 0.5 ms in the median and up to 8 ms
+    on a 2-vCPU VM) or stopped delays nothing.  A request is pickled only up
+    to that size, so a call with a large one (a large table's rendering, a
+    dump parse) finds out cheaply.
+
+    Otherwise a lead slice ``[0, m)`` runs here first, on one BLAS thread, ``m``
     doubling from 1: ``fn`` over blocks of 1, 1, 2, 4, ... units, until a
     block after the first would have taken ``MIN_SPLIT_US / 16`` at the
     lowest cost per unit that those blocks showed.  The units left are then
@@ -304,6 +371,13 @@ def run_timed(fn: Callable, count: int, *args, sliced: tuple = ()) -> list:
     """
     results, lo, unit_us = [], 0, math.inf
     with single_blas_thread():  # held into the split: no switch back to more threads
+        if _busy.acquire(blocking=False):
+            try:
+                at_once = _small_requests(fn, count, args, sliced)
+                if at_once:
+                    return _split(fn, at_once[0], args, sliced, requests=at_once[1])
+            finally:
+                _busy.release()
         while lo < count and MIN_SPLIT_US > 0:
             hi = min(count, 2 * lo or 1)
             start = time.perf_counter()
@@ -335,17 +409,67 @@ def _block_args(lo: int, hi: int, sliced: tuple, args: tuple) -> tuple:
     return (*[items[lo:hi] for items in sliced], *args)
 
 
-def _split(fn: Callable, bounds: list[int], args: tuple, sliced: tuple) -> list:
+class _TooLarge(Exception):
+    pass
+
+
+class _Capped(bytearray):
+    """A pickle's bytes, refused once they would not fit in one atomic pipe
+    write beside their header; a large request stops being pickled there."""
+
+    def write(self, data) -> None:  # bytes, or a pickle.PickleBuffer of 64 KB or more
+        if len(self) + memoryview(data).nbytes > select.PIPE_BUF - _HEADER:
+            raise _TooLarge
+        self.extend(data)
+
+
+def _small_requests(fn: Callable, count: int, args: tuple,
+                    sliced: tuple) -> Optional[tuple[list[int], list[bytearray]]]:
+    """The bounds and requests of ``range(count)`` split at once into
+    :func:`available` blocks, or None unless a worker for every block runs
+    and each request fits in one atomic pipe write.  Needs ``_busy``."""
+    blocks = min(available(), count)
+    _claim()
+    if blocks < 2 or len(_pool) < blocks - 1 or not all(_pool[:blocks - 1]):
+        return None
+    bounds = [count * i // blocks for i in range(blocks + 1)]
+    requests = []
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        request = _Capped()
+        try:
+            pickle.Pickler(request, pickle.HIGHEST_PROTOCOL).dump(
+                (fn, lo, hi, _block_args(lo, hi, sliced, args)))
+        except _TooLarge:
+            return None
+        requests.append(request)
+    return bounds, requests
+
+
+def _outcome(fn: Callable, lo: int, hi: int, args: tuple, sliced: tuple) -> tuple:
+    """``(True, result)`` of the block ``lo..hi-1`` run here, or ``(False, exception)``."""
+    try:
+        with single_blas_thread():
+            return True, fn(lo, hi, *_block_args(lo, hi, sliced, args))
+    except Exception as exc:  # noqa: BLE001 -- raised by _split, in block order
+        return False, exc
+
+
+def _split(fn: Callable, bounds: list[int], args: tuple, sliced: tuple,
+           requests: Optional[list[bytearray]] = None) -> list:
     """:func:`run_blocks` over the pool, with the two or more blocks between
-    neighbouring ``bounds``."""
+    neighbouring ``bounds``.  Given the ``requests`` of
+    :func:`_small_requests`, those that no worker has read once block 0 is
+    done are taken back and run here."""
+    take_back = requests is not None
     blocks = len(bounds) - 1
     _claim()
     _pool.extend([None] * (blocks - 1 - len(_pool)))
     outcomes: list[Optional[tuple]] = [None] * blocks
     busy = []  # slots whose request is being or was sent, with no reply read yet
-    requests = [pickle.dumps((fn, lo, hi, _block_args(lo, hi, sliced, args)),
-                             pickle.HIGHEST_PROTOCOL)
-                for lo, hi in zip(bounds[1:], bounds[2:])]
+    if requests is None:
+        requests = [pickle.dumps((fn, lo, hi, _block_args(lo, hi, sliced, args)),
+                                 pickle.HIGHEST_PROTOCOL)
+                    for lo, hi in zip(bounds[1:], bounds[2:])]
     mask = os.sched_getaffinity(0)
     _pin({min(mask)})
     try:
@@ -358,12 +482,11 @@ def _split(fn: Callable, bounds: list[int], args: tuple, sliced: tuple) -> list:
             except OSError:
                 busy.remove(slot)
                 outcomes[slot + 1] = _died(slot, bounds)
-        try:
-            with single_blas_thread():
-                outcomes[0] = (True, fn(bounds[0], bounds[1],
-                                        *_block_args(bounds[0], bounds[1], sliced, args)))
-        except Exception as exc:  # noqa: BLE001 -- raised below, in block order
-            outcomes[0] = (False, exc)
+        outcomes[0] = _outcome(fn, bounds[0], bounds[1], args, sliced)
+        taken = [slot for slot in busy if take_back and _took_back(_pool[slot])]
+        for slot in taken:  # in block order
+            busy.remove(slot)
+            outcomes[slot + 1] = _outcome(fn, bounds[slot + 1], bounds[slot + 2], args, sliced)
         for slot in busy[:]:
             outcomes[slot + 1] = _reply(slot, bounds)
             busy.remove(slot)
@@ -377,6 +500,14 @@ def _split(fn: Callable, bounds: list[int], args: tuple, sliced: tuple) -> list:
         if not ok:
             raise value
     return [value for _, value in outcomes]
+
+
+def _took_back(worker: _Worker) -> bool:
+    """Whether this process read back the worker's request before the worker did."""
+    try:
+        return bool(os.read(worker.unread, select.PIPE_BUF))
+    except BlockingIOError:  # the pipe is empty: the worker has it
+        return False
 
 
 def _reply(slot: int, bounds: list[int]) -> tuple:

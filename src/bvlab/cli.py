@@ -191,11 +191,11 @@ def _parse_scalar_list(text: str, name: str) -> list[float]:
             if step <= 0:
                 raise ConfigError(f"{name}: range step must be positive")
             # The tolerance keeps a stop that float division lands just
-            # short of, without running past it.
+            # short of; the clamp keeps a value that rounds past it at stop.
             span = (stop - start) / step + 1e-9
             if not math.isfinite(span):
                 raise ConfigError(f"{name}: range {token!r} overflows")
-            values.extend(start + k * step for k in range(math.floor(span) + 1))
+            values.extend(min(start + k * step, stop) for k in range(math.floor(span) + 1))
         else:
             values.append(_parse_finite(token, name))
     if not values:
@@ -405,8 +405,8 @@ def emit(table: Table, path: Optional[str], emit_format: str) -> None:
     list of row objects: one line, floats at full precision, so it loads back
     to the table exactly.  The first rows are rendered here and timed; when
     the rest take long enough, they are rendered in contiguous blocks over
-    the worker pool (:func:`bvlab._workers.run_timed`).  The bytes do not
-    depend on the split.
+    the worker pool, as are a small table's rows at once when the pool runs
+    (:func:`bvlab._workers.run_timed`).  The bytes do not depend on the split.
     """
     names = list(table)
     if emit_format == "csv":

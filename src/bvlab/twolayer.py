@@ -58,11 +58,14 @@ reference.  Every BLAS/LAPACK call runs in NumPy's one runtime
 Trials own disjoint RNG streams derived from the master seed and are reduced
 in fixed trial-index order, so results are bit-reproducible for a fixed
 NumPy build regardless of how trials are scheduled.  ``mc_bias_variance``
-uses that: its first trials run here and are timed, and once the measured
-work of the rest passes ``_workers.MIN_SPLIT_US`` (see
-:func:`bvlab._workers.run_timed`), the rest are cut into contiguous blocks,
-at most one per CPU of the affinity mask, and all but the first block run in
-the long-lived worker processes of :mod:`bvlab._workers`.  Every block,
+uses that (see :func:`bvlab._workers.run_timed`).  Once the long-lived
+worker processes of :mod:`bvlab._workers` run, one per CPU of the affinity
+mask beyond the first, each call is cut at once into one contiguous block
+of trials per CPU; this process runs the first block and then, itself, every
+block that no worker has begun.  Before that, its first trials run here and
+are timed, and only once the measured work of the rest passes
+``_workers.MIN_SPLIT_US`` are the rest cut into blocks over the workers,
+which that first split forks.  Every block,
 split or not, runs on one BLAS thread (``np.vdot`` sums in one part per
 BLAS thread above 10,000 entries) and returns its per-trial values, which
 this process sums in trial order, so the result has the same bits at any
@@ -354,9 +357,9 @@ def mc_bias_variance(dims: ModelDims, trials: int, master_seed: int) -> BiasVari
     the exact form of ``E M`` instead of the sample mean of M, whose
     ``||mean M - I||^2 / d`` reads the bias high, and the variance low, by
     variance / trials.  The variance is nonnegative: ``||M||^2 >= tr(M)^2 / d``
-    for each trial (Cauchy-Schwarz), then Jensen over the trials.  A long
-    call splits its trials over processes (see the module docstring) with
-    the same result.
+    for each trial (Cauchy-Schwarz), then Jensen over the trials.  A call
+    splits its trials over processes once the worker pool runs, and a long
+    one before that (see the module docstring), with the same result.
 
     Raises:
         ValueError: if ``trials`` is not an integer >= 2 (the variance is

@@ -71,6 +71,12 @@ class TestConfigParsing:
             grid = build_config("theory", {"lambda0": "1", "gamma": text}).gamma
             assert len(grid) == count
             assert_allclose(grid[-1], float(text.split(":")[1]))
+        # 0.1 + 6 * 0.1 and 3 * 0.1 round past their stops.
+        gamma = build_config("theory", {"lambda0": "1", "gamma": "0.1:0.7:0.1"}).gamma
+        assert len(gamma) == 7 and max(gamma) == gamma[-1] == 0.7
+        lambda0 = build_config("simulate", {"lambda0": "0:0.3:0.1", "d": "4", "n": "8",
+                                            "p": "2", "trials": "2"}).lambda0
+        assert len(lambda0) == 4 and max(lambda0) == lambda0[-1] == 0.3
 
     @pytest.mark.parametrize("mode, field", [("mlp-sweep", "widths"), ("simulate", "p")])
     def test_fractional_integer_list_named(self, mode, field):

@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import bvlab._workers as workers
 from bvlab.cli import ConfigError
 from bvlab.mlp import TrainingDivergedError
 from bvlab.twolayer import ModelDims, SingularSystemError, mc_bias_variance
-from conftest import assert_only_pool_workers, force_processes, needs_fork
+from conftest import assert_only_pool_workers, children, force_processes, needs_fork
 
 
 def _pids(lo, hi, tag):
@@ -103,6 +104,36 @@ def _spin(lo, hi, unit_us, paused=None):
     return list(range(lo, hi)), os.getpid()
 
 
+def _meet(lo, hi, parent, mark):
+    """This process's block waits for the file ``mark``, which a worker's
+    block makes; the indices and this process's id."""
+    if os.getpid() == parent:
+        end = time.monotonic() + 10
+        while not os.path.exists(mark):
+            assert time.monotonic() < end, "no worker ran a block"
+            time.sleep(1e-3)
+    else:
+        open(mark, "x").close()
+    return list(range(lo, hi)), os.getpid()
+
+
+def _stamp(lo, hi, tag, unit_us):
+    """``_pids`` after busy-waiting ``unit_us`` per index."""
+    _spin(lo, hi, unit_us)
+    return _pids(lo, hi, tag)
+
+
+def _request_bytes(blob_length):
+    """Bytes sent for block 1 of ``run_timed(_sizes, 4, bytes(blob_length))``
+    split in two, header included."""
+    return workers._HEADER + len(pickle.dumps((_sizes, 2, 4, (bytes(blob_length),)),
+                                              pickle.HIGHEST_PROTOCOL))
+
+
+def _lengths(lo, hi, chunks):
+    return [memoryview(chunk).nbytes for chunk in chunks]
+
+
 def _blas_threads(lo, hi):
     controls = bvlab._blas._thread_controls()
     return None if controls is None else controls[0]()
@@ -182,6 +213,7 @@ class TestRunBlocks:
         assert workers.run_blocks(_blas_threads, 2, 1) == [one]
         assert workers.run_blocks(_blas_threads, 2, 2) == [one, one]
         assert workers.run_timed(_blas_threads, 2) == [one, one]  # split, no lead slice
+        workers.shutdown()  # no worker runs: a lead slice
         monkeypatch.setattr(workers, "MIN_SPLIT_US", 1e9)
         assert workers.run_timed(_blas_threads, 2) == [one, one]  # both in the lead slice
         assert _blas_threads(0, 0) == before
@@ -191,6 +223,19 @@ class TestRunBlocks:
         results = workers.run_blocks(_pids, 8, 8, "x")
         assert [i for block in results for i, _, _ in block] == list(range(8))
         assert len(results) == 2 and len(workers._pool) == 1
+        assert_only_pool_workers()
+
+    def test_killed_worker_fails_a_large_request(self, monkeypatch):
+        """This process keeps its own read end of the request pipe, so the
+        write does not fail; it must not wait for room forever either."""
+        force_processes(monkeypatch, 2)
+        workers.run_blocks(_pids, 2, 2, "x")
+        (worker,) = workers._pool
+        os.kill(worker.pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match=rf"block 1 \(indices 2-3\) failed: worker "
+                                               rf"process {worker.pid} died"):
+            workers.run_blocks(_sizes, 4, 2, bytes(1 << 20))  # larger than a pipe's buffer
+        assert workers._pool == [None]
         assert_only_pool_workers()
 
     def test_killed_worker_fails_one_call(self, monkeypatch):
@@ -385,6 +430,81 @@ class TestRunTimed:
         assert [block for block, _ in results] == [[0], [1], list(range(2, 21)),
                                                     list(range(21, 40))]
         assert [pid for _, pid in results] == [os.getpid()] * 3 + [workers._pool[0].pid]
+        assert_only_pool_workers()
+
+
+@needs_fork
+class TestWarmPool:
+    """``run_timed`` once the pool has every worker, with the real ``MIN_SPLIT_US``."""
+
+    @pytest.fixture(autouse=True)
+    def warm_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        workers.shutdown()
+        workers.run_blocks(_pids, 2, 2, "x")
+
+    def test_short_call_splits_at_once(self, tmp_path):
+        """No lead slice: block 1 is sent before this process runs block 0."""
+        (worker,) = workers._pool
+        results = workers.run_timed(_meet, 6, os.getpid(), str(tmp_path / "mark"))
+        assert results == [([0, 1, 2], os.getpid()), ([3, 4, 5], worker.pid)]
+        assert_only_pool_workers()
+
+    def test_stopped_worker_delays_nothing(self):
+        """Its request is taken back and run here; it never reaches the worker."""
+        (worker,) = workers._pool
+        done = []
+        call = threading.Thread(target=lambda: done.append(workers.run_timed(_spin, 20, 500.0)),
+                                daemon=True)
+        os.kill(worker.pid, signal.SIGSTOP)
+        try:
+            end = time.monotonic() + 10
+            while children()[worker.pid] != "T" and time.monotonic() < end:
+                time.sleep(1e-3)
+            call.start()
+            call.join(10)
+            assert not call.is_alive()
+        finally:
+            os.kill(worker.pid, signal.SIGCONT)
+            if call.ident is not None:
+                call.join(30)
+        (results,) = done
+        assert results == [(list(range(10)), os.getpid()), (list(range(10, 20)), os.getpid())]
+        assert workers.run_blocks(_pids, 4, 2, "y") == [
+            _pids(0, 2, "y"), [(2, "y", worker.pid), (3, "y", worker.pid)]]
+        assert_only_pool_workers()
+
+    def test_back_to_back_calls_each_get_their_own_results(self, monkeypatch):
+        """Each request is run once, by its worker or here, and no outcome is
+        left over for the next call, whichever side wins the pipe."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        workers.run_blocks(_pids, 3, 3, "x")  # a second worker: 3 processes on 2 CPUs
+        ran = set()
+        start = time.monotonic()
+        for call in range(300):
+            results = workers.run_timed(_stamp, 6, call, (0.0, 20.0, 100.0)[call % 3])
+            assert [(i, tag) for block in results for i, tag, _ in block] == \
+                [(i, call) for i in range(6)]
+            ran |= {(block, pid == os.getpid()) for block, ((_, _, pid), *_) in
+                    enumerate(results)}
+        assert time.monotonic() - start < 30
+        assert {(0, True), (1, False), (2, False)} <= ran  # the workers took part
+        assert_only_pool_workers()
+
+    def test_requests_past_one_atomic_write_take_the_lead_slice(self):
+        fits = max(n for n in range(select.PIPE_BUF) if _request_bytes(n) <= select.PIPE_BUF)
+        assert _request_bytes(fits) == select.PIPE_BUF
+        at_once = workers.run_timed(_sizes, 4, bytes(fits))
+        assert [size for _, size, _ in at_once] == [2, 2]
+        lead_slice = workers.run_timed(_sizes, 4, bytes(fits + 1))
+        assert lead_slice == [(os.getpid(), size, fits + 1) for size in (1, 1, 2)]
+        assert_only_pool_workers()
+
+    def test_large_buffers_take_the_lead_slice(self):
+        """The pickler hands a buffer of 64 KB or more on as it is, to be sized."""
+        chunks = [pickle.PickleBuffer(bytes(1 << 16))] * 4
+        assert workers.run_timed(_lengths, 4, sliced=(chunks,)) == [
+            [1 << 16], [1 << 16], [1 << 16] * 2]
         assert_only_pool_workers()
 
 
