@@ -28,10 +28,10 @@ An array is read in three steps:
    entries in C order.  Only once both arrays pass is a chunk with an entry
    that is not a number named.
 
-The chunks are read by :func:`bvlab._workers.run_timed`: the first ones
-here, timed, and the rest, when they take long enough, over the worker
-processes in contiguous blocks of chunks (a small dump's at once, once the
-workers run).  Each chunk is a
+The chunks are read by :func:`bvlab._workers.run_timed`: once the worker
+processes run, at once over them in contiguous blocks of chunks; before
+that, the first ones here, timed, and the rest over the workers only when
+they take long enough to pay for forking them.  Each chunk is a
 :class:`pickle.PickleBuffer` view of the file's bytes, so a worker is sent
 only its own chunks' bytes, copied once into its request, and unpickles each
 as ``bytes``.  No Python object is made per value.  Beyond the file's

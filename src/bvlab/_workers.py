@@ -42,10 +42,10 @@ across one, so a worker never waits on a lock held by a thread it lacks.
 A worker lives as long as this process and holds its own copy-on-write
 image of it (70-124 MB peak resident after a benchmark-sized run), so
 counting workers by the affinity mask assumes the mask is the CPU share the
-process really gets.  :func:`run_timed` splits a call whose requests are
-small at once when every worker it needs is already running, and otherwise
-sizes a split by its work: it times a lead slice of the units here and
-splits only what is left.
+process really gets.  Once a worker runs for every block,
+:func:`run_timed` splits each call at once; until then it sizes a split by
+its work: it times a lead slice of the units here, splits only what is
+left, and charges each worker it would fork the cost of that fork.
 """
 
 from __future__ import annotations
@@ -91,23 +91,20 @@ def available() -> int:
     return len(os.sched_getaffinity(0))
 
 
-# Least estimated work, in microseconds of one core, worth splitting over the
-# pool after run_timed's lead slice.  A call whose requests are small skips
-# the lead slice once every worker it needs runs (see run_timed), so for the
-# Monte Carlo this decides only whether a process without workers forks them;
-# the emit and the parse, whose requests are large, are still split by it.
+# Least estimated work, in microseconds of one core, worth splitting over
+# running workers after run_timed's lead slice, which runs only in a process
+# that lacks a worker the split would use: this decides when it forks them.
 # On a 2-vCPU VM a pool round trip (a small pickled request, the worker woken
 # from a pipe read, a small reply) took 38 us in the median between
 # back-to-back calls, but after 50 ms of idling 0.5 ms in the median, 2.7 ms
 # at the 90th percentile and up to 8 ms: the time to wake a halted vCPU.  A
-# two-way split of W us saves about W / 2 minus that, so from 5 ms on it gains
-# even at that 90th percentile.  Measured there, Monte Carlo calls of about
-# 2.5 ms split ran slower in the mean, while each 40-trial simulate point of
-# criterion 03 (10-20 ms) ran 1.5-1.6x faster in a benchmark-like sequence.
-# The first split of a process also forks its workers (4-14 ms at 0-250 MB
-# resident); a call below the threshold never does.  A split at once pays no
-# wake-up: a request still unread when this process's block is done is taken
-# back and run here.
+# two-way split of W us saves about W / 2 minus that, so from 5 ms on it
+# gains even at that 90th percentile.  Forking a worker costs 4-14 ms more
+# (at 0-250 MB resident), charged as MIN_SPLIT_US in split_blocks, so a
+# process without workers forks the first one only for about 15 ms of work.
+# Measured there, Monte Carlo calls of about 2.5 ms split ran slower in the
+# mean, while each 40-trial simulate point of criterion 03 (10-20 ms) ran
+# 1.5-1.6x faster in a benchmark-like sequence.
 MIN_SPLIT_US = 5_000.0
 
 
@@ -116,17 +113,26 @@ def split_blocks(count: int, unit_us: float) -> int:
 
     Going from k - 1 to k processes saves ``W / (k (k - 1))`` of W us of
     work; a process is added only while that is at least the wake-up cost
-    above, ``MIN_SPLIT_US / 2``.  So a call splits from ``MIN_SPLIT_US`` on,
-    takes a third process from three times that, and never wakes more
-    processes than its work pays for, however wide the affinity mask.  At
-    most ``count`` and :func:`available` processes.
+    above, ``MIN_SPLIT_US / 2``, plus ``MIN_SPLIT_US`` if its worker must
+    be forked.  So a call splits from ``MIN_SPLIT_US`` over a running
+    worker and from three times that over a forked one, and never wakes
+    more processes than its work pays for, however wide the affinity mask.
+    At most ``count`` and :func:`available` processes.
     """
     work = count * unit_us
     limit = min(available(), count)
     blocks = 1
-    while blocks < limit and (blocks + 1) * blocks * MIN_SPLIT_US <= 2.0 * work:
+    while blocks < limit:
+        cost = MIN_SPLIT_US / 2 + (0.0 if _running(blocks - 1) else MIN_SPLIT_US)
+        if (blocks + 1) * blocks * cost > work:
+            break
         blocks += 1
     return blocks
+
+
+def _running(slot: int) -> bool:
+    """Whether this process's worker of ``slot`` runs."""
+    return _owner == os.getpid() and slot < len(_pool) and _pool[slot] is not None
 
 
 def _write(fd: int, payload: bytes) -> None:
@@ -343,46 +349,46 @@ def run_timed(fn: Callable, count: int, *args, sliced: tuple = ()) -> list:
     the measured cost of its units pays for; the results of its blocks, in
     index order.
 
-    When a worker for every block of a :func:`run_blocks` split into
-    :func:`available` blocks is already running, and each block's request
-    fits in one atomic pipe write (``select.PIPE_BUF``, 4 KB on Linux; a
-    Monte Carlo block's takes about 140 bytes), the call is split that way
-    at once, however short.  Once its own block is done, this process takes
-    back every request that no worker has read yet, runs those blocks itself
-    in block order, and waits only for the blocks a worker has begun: a
-    worker slow to wake (after idling, 0.5 ms in the median and up to 8 ms
-    on a 2-vCPU VM) or stopped delays nothing.  A request is pickled only up
-    to that size, so a call with a large one (a large table's rendering, a
-    dump parse) finds out cheaply.
+    When a worker runs for every block of a split into
+    ``min(available(), count)`` blocks, the call is split that way at once,
+    however short.  Once its own block is done, this process takes back
+    every request that no worker has read yet and that fits in one atomic
+    pipe write (``select.PIPE_BUF``, 4 KB on Linux, header included; a
+    Monte Carlo block's takes about 140 bytes) and runs those blocks itself,
+    in block order: a worker slow to wake (after idling, 0.5 ms in the
+    median and up to 8 ms on a 2-vCPU VM) or stopped delays no small
+    request.  A larger one (a large table's rows, a dump's chunks) could be
+    half read by its worker, so its reply is waited for.
 
-    Otherwise a lead slice ``[0, m)`` runs here first, on one BLAS thread, ``m``
-    doubling from 1: ``fn`` over blocks of 1, 1, 2, 4, ... units, until a
-    block after the first would have taken ``MIN_SPLIT_US / 16`` at the
-    lowest cost per unit that those blocks showed.  The units left are then
-    split by :func:`split_blocks` at that cost: normally the last block's,
-    while a block slowed by a pause (4 ms pauses hit one lead slice of the
-    edge grid's rendering in 30 on a 2-vCPU VM) neither ends the lead slice
-    nor sets the cost.  The first block is never measured, as it also pays
-    what a process does once (a process's first Monte Carlo trial took 15 ms
-    there, most of it importing ``numpy.random``, and the next ones
-    0.2-0.5 ms).  With ``MIN_SPLIT_US`` at 0 there is no lead slice.
-    ``fn`` sees the indices of ``range(count)`` whatever the split, and an
-    exception is raised as :func:`run_blocks` raises it.
+    Otherwise a lead slice ``[0, m)`` runs here first, on one BLAS thread:
+    ``fn`` over blocks of 1, 1, 2, 4, ... units, until a block after the
+    first would have taken ``MIN_SPLIT_US / 16`` of this thread's CPU time
+    at the lowest cost per unit those blocks showed.  :func:`split_blocks`
+    then sizes the split of the units left at that cost, charging each
+    worker it must fork for the fork.  CPU time leaves out the pauses in
+    which this thread waits off the CPU (on a shared 2-vCPU VM, a one-row
+    block of a table's rendering took 4.1 ms of wall time and 85 us of CPU
+    time; timed by the wall clock, such a pause forked the pool for a
+    14-row table), and the lowest cost, not the last, keeps a block slowed
+    on the CPU from ending the lead slice or setting the cost.  The first
+    block is never measured, as it also pays what a process does once (a
+    process's first Monte Carlo trial took 15 ms there, most of it importing
+    ``numpy.random``, and the next ones 0.2-0.5 ms).  With ``MIN_SPLIT_US``
+    at 0 there is no lead slice.  ``fn`` sees the indices of
+    ``range(count)`` whatever the split, and an exception is raised as
+    :func:`run_blocks` raises it.
     """
     results, lo, unit_us = [], 0, math.inf
     with single_blas_thread():  # held into the split: no switch back to more threads
-        if _busy.acquire(blocking=False):
-            try:
-                at_once = _small_requests(fn, count, args, sliced)
-                if at_once:
-                    return _split(fn, at_once[0], args, sliced, requests=at_once[1])
-            finally:
-                _busy.release()
+        blocks = min(available(), count)
+        # Checked without _busy: _split forks again a worker dropped meanwhile.
+        if blocks > 1 and all(_running(slot) for slot in range(blocks - 1)):
+            return _run(fn, 0, count, blocks, args, sliced, take_back=True)
         while lo < count and MIN_SPLIT_US > 0:
             hi = min(count, 2 * lo or 1)
-            start = time.perf_counter()
+            start = time.thread_time()
             results.append(fn(lo, hi, *_block_args(lo, hi, sliced, args)))
-            spent = (time.perf_counter() - start) * 1e6
+            spent = (time.thread_time() - start) * 1e6
             lo, size = hi, hi - lo
             if lo > 1:
                 unit_us = min(unit_us, spent / size)
@@ -393,56 +399,20 @@ def run_timed(fn: Callable, count: int, *args, sliced: tuple = ()) -> list:
     return results
 
 
-def _run(fn: Callable, lo: int, hi: int, blocks: int, args: tuple, sliced: tuple) -> list:
+def _run(fn: Callable, lo: int, hi: int, blocks: int, args: tuple, sliced: tuple,
+         take_back: bool = False) -> list:
     """Indices ``lo..hi-1`` in ``blocks`` blocks, as :func:`run_blocks` runs them."""
     if blocks < 2 or not _busy.acquire(blocking=False):
         with single_blas_thread():
             return [fn(lo, hi, *_block_args(lo, hi, sliced, args))]
     try:
-        return _split(fn, [lo + (hi - lo) * i // blocks for i in range(blocks + 1)],
-                      args, sliced)
+        return _split(fn, lo, hi, blocks, args, sliced, take_back)
     finally:
         _busy.release()
 
 
 def _block_args(lo: int, hi: int, sliced: tuple, args: tuple) -> tuple:
     return (*[items[lo:hi] for items in sliced], *args)
-
-
-class _TooLarge(Exception):
-    pass
-
-
-class _Capped(bytearray):
-    """A pickle's bytes, refused once they would not fit in one atomic pipe
-    write beside their header; a large request stops being pickled there."""
-
-    def write(self, data) -> None:  # bytes, or a pickle.PickleBuffer of 64 KB or more
-        if len(self) + memoryview(data).nbytes > select.PIPE_BUF - _HEADER:
-            raise _TooLarge
-        self.extend(data)
-
-
-def _small_requests(fn: Callable, count: int, args: tuple,
-                    sliced: tuple) -> Optional[tuple[list[int], list[bytearray]]]:
-    """The bounds and requests of ``range(count)`` split at once into
-    :func:`available` blocks, or None unless a worker for every block runs
-    and each request fits in one atomic pipe write.  Needs ``_busy``."""
-    blocks = min(available(), count)
-    _claim()
-    if blocks < 2 or len(_pool) < blocks - 1 or not all(_pool[:blocks - 1]):
-        return None
-    bounds = [count * i // blocks for i in range(blocks + 1)]
-    requests = []
-    for lo, hi in zip(bounds[1:], bounds[2:]):
-        request = _Capped()
-        try:
-            pickle.Pickler(request, pickle.HIGHEST_PROTOCOL).dump(
-                (fn, lo, hi, _block_args(lo, hi, sliced, args)))
-        except _TooLarge:
-            return None
-        requests.append(request)
-    return bounds, requests
 
 
 def _outcome(fn: Callable, lo: int, hi: int, args: tuple, sliced: tuple) -> tuple:
@@ -454,22 +424,20 @@ def _outcome(fn: Callable, lo: int, hi: int, args: tuple, sliced: tuple) -> tupl
         return False, exc
 
 
-def _split(fn: Callable, bounds: list[int], args: tuple, sliced: tuple,
-           requests: Optional[list[bytearray]] = None) -> list:
-    """:func:`run_blocks` over the pool, with the two or more blocks between
-    neighbouring ``bounds``.  Given the ``requests`` of
-    :func:`_small_requests`, those that no worker has read once block 0 is
-    done are taken back and run here."""
-    take_back = requests is not None
-    blocks = len(bounds) - 1
+def _split(fn: Callable, lo: int, hi: int, blocks: int, args: tuple, sliced: tuple,
+           take_back: bool) -> list:
+    """:func:`run_blocks` over the pool: indices ``lo..hi-1`` in ``blocks``
+    blocks, two or more.  With ``take_back``, a request that fits in one
+    atomic pipe write and that no worker has read once block 0 is done is
+    taken back and run here.  Needs ``_busy``."""
+    bounds = [lo + (hi - lo) * i // blocks for i in range(blocks + 1)]
     _claim()
     _pool.extend([None] * (blocks - 1 - len(_pool)))
     outcomes: list[Optional[tuple]] = [None] * blocks
     busy = []  # slots whose request is being or was sent, with no reply read yet
-    if requests is None:
-        requests = [pickle.dumps((fn, lo, hi, _block_args(lo, hi, sliced, args)),
-                                 pickle.HIGHEST_PROTOCOL)
-                    for lo, hi in zip(bounds[1:], bounds[2:])]
+    requests = [pickle.dumps((fn, start, stop, _block_args(start, stop, sliced, args)),
+                             pickle.HIGHEST_PROTOCOL)
+                for start, stop in zip(bounds[1:], bounds[2:])]
     mask = os.sched_getaffinity(0)
     _pin({min(mask)})
     try:
@@ -483,7 +451,9 @@ def _split(fn: Callable, bounds: list[int], args: tuple, sliced: tuple,
                 busy.remove(slot)
                 outcomes[slot + 1] = _died(slot, bounds)
         outcomes[0] = _outcome(fn, bounds[0], bounds[1], args, sliced)
-        taken = [slot for slot in busy if take_back and _took_back(_pool[slot])]
+        atomic = [take_back and _HEADER + len(request) <= select.PIPE_BUF
+                  for request in requests]
+        taken = [slot for slot in busy if atomic[slot] and _took_back(_pool[slot])]
         for slot in taken:  # in block order
             busy.remove(slot)
             outcomes[slot + 1] = _outcome(fn, bounds[slot + 1], bounds[slot + 2], args, sliced)

@@ -177,6 +177,12 @@ def _parse_int(text: str, name: str) -> int:
         raise ConfigError(f"{name}: not an integer: {text!r}") from exc
 
 
+# Most values one list may hold once its ranges are counted out: 50 times the
+# 20,000 of the largest grid the benchmark runs.  A range is counted before
+# any value is built, so ``1e-9:1:1e-9`` fails at once instead of filling GBs.
+MAX_LIST_VALUES = 1_000_000
+
+
 def _parse_scalar_list(text: str, name: str) -> list[float]:
     values: list[float] = []
     for token in text.split(","):
@@ -195,7 +201,13 @@ def _parse_scalar_list(text: str, name: str) -> list[float]:
             span = (stop - start) / step + 1e-9
             if not math.isfinite(span):
                 raise ConfigError(f"{name}: range {token!r} overflows")
-            values.extend(min(start + k * step, stop) for k in range(math.floor(span) + 1))
+            if span < 0:
+                raise ConfigError(f"{name}: range {token!r} stops below its start")
+            count = math.floor(span) + 1
+            if len(values) + count > MAX_LIST_VALUES:
+                raise ConfigError(f"{name}: {len(values) + count:,} values, more than the "
+                                  f"{MAX_LIST_VALUES:,} a list may hold")
+            values.extend(min(start + k * step, stop) for k in range(count))
         else:
             values.append(_parse_finite(token, name))
     if not values:
@@ -403,10 +415,11 @@ def emit(table: Table, path: Optional[str], emit_format: str) -> None:
     CSV has a header of the table's column names and floats at 9 significant
     digits.  JSON is, byte for byte, what :func:`json.dumps` writes for the
     list of row objects: one line, floats at full precision, so it loads back
-    to the table exactly.  The first rows are rendered here and timed; when
-    the rest take long enough, they are rendered in contiguous blocks over
-    the worker pool, as are a small table's rows at once when the pool runs
-    (:func:`bvlab._workers.run_timed`).  The bytes do not depend on the split.
+    to the table exactly.  Once the worker pool runs, the rows are rendered
+    at once in contiguous blocks over it; before that, the first rows are
+    rendered here and timed, and the rest are split only when they take long
+    enough to pay for forking the pool (:func:`bvlab._workers.run_timed`).
+    The bytes do not depend on the split.
     """
     names = list(table)
     if emit_format == "csv":

@@ -63,9 +63,9 @@ worker processes of :mod:`bvlab._workers` run, one per CPU of the affinity
 mask beyond the first, each call is cut at once into one contiguous block
 of trials per CPU; this process runs the first block and then, itself, every
 block that no worker has begun.  Before that, its first trials run here and
-are timed, and only once the measured work of the rest passes
-``_workers.MIN_SPLIT_US`` are the rest cut into blocks over the workers,
-which that first split forks.  Every block,
+are timed, and the rest are cut into blocks over workers, which that split
+forks, only once their measured work also pays for the forks: about three
+times ``_workers.MIN_SPLIT_US``, 15 ms, for the first.  Every block,
 split or not, runs on one BLAS thread (``np.vdot`` sums in one part per
 BLAS thread above 10,000 entries) and returns its per-trial values, which
 this process sums in trial order, so the result has the same bits at any

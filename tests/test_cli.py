@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import time
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -77,6 +78,21 @@ class TestConfigParsing:
         lambda0 = build_config("simulate", {"lambda0": "0:0.3:0.1", "d": "4", "n": "8",
                                             "p": "2", "trials": "2"}).lambda0
         assert len(lambda0) == 4 and max(lambda0) == lambda0[-1] == 0.3
+
+    def test_range_past_the_list_cap_named_before_it_is_built(self, monkeypatch):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="^gamma: 1,000,000,000 values, more than "
+                                              "the 1,000,000 a list may hold$"):
+            build_config("theory", {"lambda0": "1", "gamma": "1e-9:1:1e-9"})
+        assert time.perf_counter() - start < 0.5
+        monkeypatch.setattr(cli, "MAX_LIST_VALUES", 10)
+        assert len(build_config("theory", {"lambda0": "1", "gamma": "1:10:1"}).gamma) == 10
+        with pytest.raises(ConfigError, match="^gamma: 11 values, more than the 10"):
+            build_config("theory", {"lambda0": "1", "gamma": "0.5,1:10:1"})
+
+    def test_range_below_its_start_named(self):
+        with pytest.raises(ConfigError, match="^gamma: range '2:1:0.5' stops below its start$"):
+            build_config("theory", {"lambda0": "1", "gamma": "2:1:0.5"})
 
     @pytest.mark.parametrize("mode, field", [("mlp-sweep", "widths"), ("simulate", "p")])
     def test_fractional_integer_list_named(self, mode, field):

@@ -474,13 +474,28 @@ class TestMcBiasVariance:
 class TestProcessSplit:
     """Trials split over 1, 2 and 3 processes give the serial loop's bits."""
 
-    def test_blocks_grow_with_the_work(self, monkeypatch):
+    def test_blocks_grow_with_the_work_over_running_workers(self, monkeypatch):
         """A process is added only while its saving beats a wake-up."""
         monkeypatch.setattr(workers, "available", lambda: 40)
+        monkeypatch.setattr(workers, "_owner", os.getpid())
+        monkeypatch.setattr(workers, "_pool", [True] * 39)  # stand-ins for running workers
         half = workers.MIN_SPLIT_US / 2
         assert [workers.split_blocks(40, work * half / 40) for work in
                 (1.9, 2, 5.9, 6, 11.9, 12, 2000)] == [1, 2, 2, 3, 3, 4, 40]
         assert workers.split_blocks(3, 1e9) == 3
+
+    def test_blocks_grow_with_the_work_and_the_forks(self, monkeypatch):
+        """A worker that must be forked costs ``MIN_SPLIT_US`` more."""
+        monkeypatch.setattr(workers, "available", lambda: 40)
+        half = workers.MIN_SPLIT_US / 2
+        assert workers._pool == []
+        assert [workers.split_blocks(40, work * half / 40) for work in
+                (5.9, 6, 17.9, 18, 35.9, 36, 6000)] == [1, 2, 2, 3, 3, 4, 40]
+        assert workers.split_blocks(3, 1e9) == 3
+        monkeypatch.setattr(workers, "_owner", os.getpid())
+        monkeypatch.setattr(workers, "_pool", [True])  # one running worker
+        assert [workers.split_blocks(40, work * half / 40) for work in
+                (1.9, 2, 17.9, 18)] == [1, 2, 2, 3]
 
     @staticmethod
     def bits(stats):

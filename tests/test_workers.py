@@ -1,5 +1,6 @@
 """The worker pool: block order, errors, worker death and clean-up."""
 
+import contextlib
 import os
 import pickle
 import select
@@ -130,8 +131,28 @@ def _request_bytes(blob_length):
                                               pickle.HIGHEST_PROTOCOL))
 
 
+def _fits():
+    """The longest blob whose request above fits in one atomic pipe write."""
+    fits = max(n for n in range(select.PIPE_BUF) if _request_bytes(n) <= select.PIPE_BUF)
+    assert _request_bytes(fits) == select.PIPE_BUF
+    return fits
+
+
 def _lengths(lo, hi, chunks):
-    return [memoryview(chunk).nbytes for chunk in chunks]
+    return [memoryview(chunk).nbytes for chunk in chunks], os.getpid()
+
+
+@contextlib.contextmanager
+def _stopped(pid):
+    """Hold the child ``pid`` stopped by SIGSTOP, once seen stopped, for the body."""
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        end = time.monotonic() + 10
+        while children()[pid] != "T" and time.monotonic() < end:
+            time.sleep(1e-3)
+        yield
+    finally:
+        os.kill(pid, signal.SIGCONT)
 
 
 def _blas_threads(lo, hi):
@@ -422,6 +443,14 @@ class TestRunTimed:
         assert [i for block, _ in results for i in block] == list(range(60))
         assert workers._pool == []
 
+    def test_work_short_of_a_fork_starts_no_worker(self, monkeypatch):
+        """The 36 units of 250 us after the lead slice pay for a wake-up, not a fork."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork called"))
+        results = workers.run_timed(_spin, 40, 250.0)
+        assert [i for block, _ in results for i in block] == list(range(40))
+        assert workers._pool == []
+
     def test_long_work_splits_over_the_cpus(self, monkeypatch):
         """Units 0 and 1 are the lead slice; the other 38, of 500 us each, pay for a split."""
         workers.shutdown()
@@ -491,20 +520,36 @@ class TestWarmPool:
         assert {(0, True), (1, False), (2, False)} <= ran  # the workers took part
         assert_only_pool_workers()
 
-    def test_requests_past_one_atomic_write_take_the_lead_slice(self):
-        fits = max(n for n in range(select.PIPE_BUF) if _request_bytes(n) <= select.PIPE_BUF)
-        assert _request_bytes(fits) == select.PIPE_BUF
-        at_once = workers.run_timed(_sizes, 4, bytes(fits))
-        assert [size for _, size, _ in at_once] == [2, 2]
-        lead_slice = workers.run_timed(_sizes, 4, bytes(fits + 1))
-        assert lead_slice == [(os.getpid(), size, fits + 1) for size in (1, 1, 2)]
+    def test_requests_past_one_atomic_write_split_at_once(self):
+        """Cut at once too, but never taken back: block 1 is the worker's."""
+        (worker,) = workers._pool
+        fits = _fits()
+        assert workers.run_timed(_sizes, 4, bytes(fits + 1)) == [
+            (os.getpid(), 2, fits + 1), (worker.pid, 2, fits + 1)]
         assert_only_pool_workers()
 
-    def test_large_buffers_take_the_lead_slice(self):
-        """The pickler hands a buffer of 64 KB or more on as it is, to be sized."""
+    def test_large_buffers_split_at_once(self):
+        """The pickler copies a buffer of 64 KB or more into the request."""
+        (worker,) = workers._pool
         chunks = [pickle.PickleBuffer(bytes(1 << 16))] * 4
         assert workers.run_timed(_lengths, 4, sliced=(chunks,)) == [
-            [1 << 16], [1 << 16], [1 << 16] * 2]
+            ([1 << 16] * 2, os.getpid()), ([1 << 16] * 2, worker.pid)]
+        assert_only_pool_workers()
+
+    def test_stopped_worker_delays_no_request_of_one_atomic_write(self):
+        """A request of exactly ``select.PIPE_BUF`` bytes is still taken back."""
+        (worker,) = workers._pool
+        fits = _fits()
+        done = []
+        call = threading.Thread(
+            target=lambda: done.append(workers.run_timed(_sizes, 4, bytes(fits))), daemon=True)
+        with _stopped(worker.pid):
+            call.start()
+            call.join(10)
+            came_back = not call.is_alive()
+        call.join(30)
+        assert came_back
+        assert done == [[(os.getpid(), 2, fits)] * 2]
         assert_only_pool_workers()
 
 
